@@ -1,7 +1,6 @@
 //! Pipeline benchmarks: the full build at one worker vs the machine's
 //! worker count — the speedup the work-stealing scheduler buys
-//! (bounded by available cores) — plus the staged five-barrier
-//! baseline against the streaming dataflow at the same worker count.
+//! (bounded by available cores).
 
 use arest_experiments::pipeline::{Dataset, PipelineConfig};
 use arest_netgen::internet::GenConfig;
@@ -31,20 +30,5 @@ fn bench_pipeline_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Staged barriers vs streaming dataflow at the same worker count —
-/// the criterion counterpart of the `bench-pipeline` CLI figure.
-fn bench_pipeline_models(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline_models");
-    group.sample_size(10);
-    let parallel = worker_count().max(2);
-    group.bench_function(format!("staged_workers_{parallel}"), |b| {
-        b.iter(|| Dataset::build_staged(black_box(quick_config(parallel))));
-    });
-    group.bench_function(format!("streaming_workers_{parallel}"), |b| {
-        b.iter(|| Dataset::build(black_box(quick_config(parallel))));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_pipeline_build, bench_pipeline_models);
+criterion_group!(benches, bench_pipeline_build);
 criterion_main!(benches);

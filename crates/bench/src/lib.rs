@@ -10,9 +10,7 @@
 //! * `experiments_tables` — one group per paper table (1, 3, 5).
 //! * `experiments_figures` — one group per paper figure (1, 5–17,
 //!   headline, ablation).
-//! * `pipeline` — the staged parallel build at 1 vs N workers.
-//! * `columnar` — the struct-of-arrays arena (convert, address sweep,
-//!   detect) against the nested row-major baseline at 1× and 10×.
+//! * `pipeline` — the streaming parallel build at 1 vs N workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,21 +16,21 @@ use std::sync::LazyLock;
 
 /// Cached handles into the global `arest-obs` registry: traces walked
 /// and per-flag segment detections (free when observability is off).
-pub(crate) struct ObsMetrics {
+struct ObsMetrics {
     /// `core.detect.traces` — traces run through the detector.
-    pub(crate) traces: Counter,
+    traces: Counter,
     /// `core.detect.segments` — segments detected across all flags.
-    pub(crate) segments: Counter,
+    segments: Counter,
     /// `core.detect.flag.{cvr,co,lsvr,lvr,lso}`, indexed by
     /// [`flag_slot`].
-    pub(crate) flags: [Counter; 5],
+    flags: [Counter; 5],
 }
 
 /// The global registry's span tracer (inert while `AREST_OBS` is
-/// off). Shared with the columnar detector in [`crate::columnar`].
-pub(crate) static TRACER: LazyLock<Tracer> = LazyLock::new(|| arest_obs::global().tracer());
+/// off).
+static TRACER: LazyLock<Tracer> = LazyLock::new(|| arest_obs::global().tracer());
 
-pub(crate) static OBS: LazyLock<ObsMetrics> = LazyLock::new(|| {
+static OBS: LazyLock<ObsMetrics> = LazyLock::new(|| {
     let registry = arest_obs::global();
     ObsMetrics {
         traces: registry.counter("core.detect.traces"),
@@ -45,7 +45,7 @@ pub(crate) static OBS: LazyLock<ObsMetrics> = LazyLock::new(|| {
     }
 });
 
-pub(crate) fn flag_slot(flag: Flag) -> usize {
+fn flag_slot(flag: Flag) -> usize {
     match flag {
         Flag::Cvr => 0,
         Flag::Co => 1,

@@ -61,7 +61,6 @@
 
 pub mod baseline;
 pub mod classify;
-pub mod columnar;
 pub mod detect;
 pub mod flags;
 pub mod interworking;
@@ -70,7 +69,6 @@ pub mod model;
 pub mod ranges;
 
 pub use classify::{classify_areas, Area, AreaConfig};
-pub use columnar::{detect_segments_arena, ArenaDetector, AugmentedArena};
 pub use detect::{detect_segments, DetectedSegment, DetectorConfig};
 pub use flags::Flag;
 pub use interworking::{analyze_interworking, Cloud, CloudKind, InterworkingMode};

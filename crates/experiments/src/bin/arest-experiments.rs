@@ -18,8 +18,6 @@
 //!   --seed <n>       generator seed (default 2025)
 //!   --workers <n>    worker threads (default: AREST_WORKERS / cores)
 //!   --catalog-scale <n>  replicate the 60-AS catalog n times
-//!   --nested         keep streaming tails on the nested (row-major)
-//!                    detect path instead of the columnar arena
 //!   --stream         print one progress row per finished AS, in
 //!                    completion order, while the catalog builds
 //!   --out <dir>      also write each report to <dir>/<id>.txt
@@ -66,17 +64,13 @@
 //! full rebuild) and writes `BENCH_incremental.json`, asserting that
 //! the 100% slice reproduces the full rebuild's payload digest.
 //!
-//! `bench-pipeline` builds the dataset in **three** configurations —
-//! the staged five-barrier baseline, the streaming dataflow on the
-//! nested detect path, and the streaming dataflow on the columnar
-//! arena — at one worker and at `--workers` (or the machine's
-//! parallelism), then writes `BENCH_pipeline.json` with per-phase
-//! seconds, each run's detect path and fingerprint/detect work
-//! figures, its peak resident raw-trace count, the parallel speedup,
-//! the streaming-vs-staged ratio, the columnar-vs-nested speedup on
-//! the layout-sensitive work, and the host core count (a single-core
-//! host gets an explicit caveat). `--catalog-scale` is the throughput
-//! axis: 10 replicas ≈ the paper's catalog at 10× scale.
+//! `bench-pipeline` runs one streaming build at one worker and one at
+//! `--workers` (or the machine's parallelism), then writes
+//! `BENCH_pipeline.json` with each run's per-phase seconds and peak
+//! resident raw-trace count, the parallel speedup, and the host core
+//! count (a single-core host gets an explicit caveat).
+//! `--catalog-scale` is the throughput axis: 10 replicas ≈ the
+//! paper's catalog at 10× scale.
 //!
 //! With observability on (`--obs` or `AREST_OBS=1`), every mode —
 //! explicit ids, `all`, and `bench-pipeline` — additionally writes the
@@ -105,7 +99,7 @@
 //! `inferno`), and `RUN_REPORT_provenance.txt` (one evidence-chain
 //! line per AReST detection).
 
-use arest_experiments::pipeline::{BuildMode, BuildStats, Dataset, PipelineConfig, SliceSpec};
+use arest_experiments::pipeline::{BuildStats, Dataset, PipelineConfig, SliceSpec};
 use arest_experiments::{run_experiment, ALL_EXPERIMENTS};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
@@ -136,7 +130,6 @@ fn main() {
             "--catalog-scale" => {
                 config.gen.catalog_scale = expect_value(&mut iter, "--catalog-scale");
             }
-            "--nested" => config.columnar = false,
             "--stream" => stream = true,
             "--listen" => {
                 listen = iter.next().unwrap_or_else(|| usage("--listen needs addr:port"));
@@ -855,12 +848,10 @@ fn write_run_report(out_dir: Option<&str>) {
     eprintln!("wrote {txt_path} and {csv_path}");
 }
 
-/// Builds the same dataset in all three configurations (staged
-/// baseline, streaming on the nested detect path, streaming on the
-/// columnar arena) at one worker and at the requested worker count,
-/// printing per-phase timings and writing `BENCH_pipeline.json`.
-/// Returns the last dataset built, so `--trace-out` can render its
-/// detection provenance.
+/// Builds the dataset at one worker and at the requested worker
+/// count, printing per-phase timings and writing
+/// `BENCH_pipeline.json`. Returns the last dataset built, so
+/// `--trace-out` can render its detection provenance.
 fn bench_pipeline(config: PipelineConfig) -> Dataset {
     let parallel_workers = config.workers.unwrap_or_else(arest_tnt::pool::worker_count).max(1);
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -870,96 +861,38 @@ fn bench_pipeline(config: PipelineConfig) -> Dataset {
         worker_counts.push(parallel_workers);
     }
 
-    // (mode, columnar tail?, detect-path label). The staged baseline
-    // runs the nested per-trace code behind its barriers, so it shares
-    // the "nested" label; the two streaming runs differ only in the
-    // tail's memory layout.
-    let variants = [
-        (BuildMode::Staged, false, "nested"),
-        (BuildMode::Streaming, false, "nested"),
-        (BuildMode::Streaming, true, "columnar"),
-    ];
-
-    let mut runs: Vec<(BuildStats, &'static str)> = Vec::new();
+    let mut runs: Vec<BuildStats> = Vec::new();
     let mut last_dataset: Option<Dataset> = None;
     for &workers in &worker_counts {
-        for (mode, columnar, path) in variants {
-            let run_config = PipelineConfig { workers: Some(workers), columnar, ..config };
-            eprintln!(
-                "bench-pipeline: {} build, {path} detect (scale {}, catalog ×{}, {} VPs, \
-                 seed {}) with {workers} worker(s)…",
-                mode.as_str(),
-                run_config.gen.scale,
-                run_config.gen.catalog_scale,
-                run_config.gen.vp_count,
-                run_config.gen.seed
-            );
-            let (dataset, stats) = match mode {
-                BuildMode::Staged => Dataset::build_staged_with_stats(run_config),
-                BuildMode::Streaming => Dataset::build_with_stats(run_config),
-            };
-            eprintln!(
-                "  total {:.2}s ({} raw traces, peak resident {}, fingerprint work {:.3}s, \
-                 detect work {:.3}s)",
-                stats.total.as_secs_f64(),
-                dataset.raw_trace_count,
-                stats.peak_resident_traces,
-                stats.fingerprint_work.as_secs_f64(),
-                stats.detect_work.as_secs_f64(),
-            );
-            for (name, duration) in stats.stages() {
-                eprintln!("    {name:<12}{:.3}s", duration.as_secs_f64());
-            }
-            runs.push((stats, path));
-            last_dataset = Some(dataset);
+        let run_config = PipelineConfig { workers: Some(workers), ..config };
+        eprintln!(
+            "bench-pipeline: build (scale {}, catalog ×{}, {} VPs, seed {}) with {workers} \
+             worker(s)…",
+            run_config.gen.scale,
+            run_config.gen.catalog_scale,
+            run_config.gen.vp_count,
+            run_config.gen.seed
+        );
+        let (dataset, stats) = Dataset::build_with_stats(run_config);
+        eprintln!(
+            "  total {:.2}s ({} raw traces, peak resident {})",
+            stats.total.as_secs_f64(),
+            dataset.raw_trace_count,
+            stats.peak_resident_traces,
+        );
+        for (name, duration) in stats.stages() {
+            eprintln!("    {name:<12}{:.3}s", duration.as_secs_f64());
         }
+        runs.push(stats);
+        last_dataset = Some(dataset);
     }
 
-    let run_of = |mode: BuildMode, path: &str, workers: usize| {
-        runs.iter()
-            .find(|(s, p)| s.mode == mode && *p == path && s.workers == workers)
-            .map(|(s, _)| s)
-    };
-    let total_of = |mode: BuildMode, path: &str, workers: usize| {
-        run_of(mode, path, workers).map(|s| s.total.as_secs_f64())
-    };
-    // Parallel scaling of the (default, columnar) streaming dataflow.
-    let speedup = match (
-        total_of(BuildMode::Streaming, "columnar", 1),
-        total_of(BuildMode::Streaming, "columnar", parallel_workers),
-    ) {
-        (Some(serial), Some(parallel)) => serial / parallel.max(f64::EPSILON),
-        _ => 1.0,
-    };
-    // Staged vs (columnar) streaming at the same (highest) worker
-    // count. > 1.0 means the dataflow beats the barriers.
-    let streaming_vs_staged = match (
-        total_of(BuildMode::Staged, "nested", parallel_workers),
-        total_of(BuildMode::Streaming, "columnar", parallel_workers),
-    ) {
-        (Some(staged), Some(streaming)) => staged / streaming.max(f64::EPSILON),
-        _ => 1.0,
-    };
-    // The tentpole figure: summed fingerprint+detect work, nested vs
-    // columnar streaming tails at the highest worker count. Work
-    // figures are layout-sensitive but scheduling-insensitive, so the
-    // ratio isolates the arena's effect from probing wall clock.
-    let work_of = |path: &str| {
-        run_of(BuildMode::Streaming, path, parallel_workers)
-            .map(|s| s.fingerprint_work.as_secs_f64() + s.detect_work.as_secs_f64())
-    };
-    let columnar_vs_nested = match (work_of("nested"), work_of("columnar")) {
-        (Some(nested), Some(columnar)) => nested / columnar.max(f64::EPSILON),
-        _ => 1.0,
-    };
+    let serial = runs[0].total.as_secs_f64();
+    let parallel = runs[runs.len() - 1].total.as_secs_f64();
+    let speedup = serial / parallel.max(f64::EPSILON);
     eprintln!(
         "streaming speedup at {parallel_workers} worker(s): {speedup:.2}x \
          (host has {available} core(s))"
-    );
-    eprintln!("streaming vs staged at {parallel_workers} worker(s): {streaming_vs_staged:.2}x");
-    eprintln!(
-        "columnar vs nested detect+fingerprint work at {parallel_workers} worker(s): \
-         {columnar_vs_nested:.2}x"
     );
 
     // Hand-rolled JSON, like the rest of the suite (no serde).
@@ -974,16 +907,9 @@ fn bench_pipeline(config: PipelineConfig) -> Dataset {
     }
     json.push_str(&format!("  \"catalog_scale\": {},\n", config.gen.catalog_scale));
     json.push_str(&format!("  \"speedup\": {speedup:.4},\n"));
-    json.push_str(&format!("  \"streaming_vs_staged_speedup\": {streaming_vs_staged:.4},\n"));
-    json.push_str(&format!("  \"columnar_vs_nested_speedup\": {columnar_vs_nested:.4},\n"));
     json.push_str("  \"runs\": [\n");
-    for (i, (stats, path)) in runs.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"mode\": \"{}\", \"detect_path\": \"{path}\", \
-             \"stages\": {{",
-            stats.workers,
-            stats.mode.as_str()
-        ));
+    for (i, stats) in runs.iter().enumerate() {
+        json.push_str(&format!("    {{\"workers\": {}, \"stages\": {{", stats.workers));
         for (j, (name, duration)) in stats.stages().iter().enumerate() {
             if j > 0 {
                 json.push_str(", ");
@@ -991,10 +917,7 @@ fn bench_pipeline(config: PipelineConfig) -> Dataset {
             json.push_str(&format!("\"{name}\": {:.6}", duration.as_secs_f64()));
         }
         json.push_str(&format!(
-            "}}, \"fingerprint_seconds\": {:.6}, \"detect_seconds\": {:.6}, \
-             \"total_seconds\": {:.6}, \"peak_resident_traces\": {}}}",
-            stats.fingerprint_work.as_secs_f64(),
-            stats.detect_work.as_secs_f64(),
+            "}}, \"total_seconds\": {:.6}, \"peak_resident_traces\": {}}}",
             stats.total.as_secs_f64(),
             stats.peak_resident_traces
         ));
@@ -1018,7 +941,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: arest-experiments [--quick] [--scale F] [--vps N] [--targets N] [--seed N] \
-         [--workers N] [--catalog-scale N] [--nested] [--stream] [--out DIR] [--obs] \
+         [--workers N] [--catalog-scale N] [--stream] [--out DIR] [--obs] \
          [--trace-out DIR] [--listen A:P] [--clients N] [--requests N] [--ledger DIR] \
          [--reprobe SLICE] [--base SERIAL] [--ledger-poll-ms N] \
          <ids…|all|bench-pipeline|serve|bench-serve|bench-ledger|bench-incremental|\

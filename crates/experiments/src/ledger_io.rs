@@ -32,15 +32,18 @@ use std::net::Ipv4Addr;
 /// the campaign, via its `Debug` rendering — the config is a plain
 /// `Copy` struct whose `Debug` output is total).
 ///
-/// The slice selector and base serial are reset before digesting:
-/// they choose *how much of* a campaign to recompute, not what the
-/// campaign is, so a full run and any slice re-probe of it share one
-/// digest — the compatibility check an incremental merge enforces.
+/// The slice selector, base serial and worker count are reset before
+/// digesting: they choose *how much of* a campaign to recompute, or
+/// how many threads compute it, not what the campaign is. Results are
+/// identical at any worker count, so a full run and any slice re-probe
+/// of it share one digest — the compatibility check an incremental
+/// merge enforces.
 #[must_use]
 pub fn config_digest(config: &PipelineConfig) -> u64 {
     let mut canonical = *config;
     canonical.reprobe = SliceSpec::Full;
     canonical.base_serial = None;
+    canonical.workers = None;
     fnv64(format!("{canonical:?}").as_bytes())
 }
 
@@ -223,6 +226,16 @@ mod tests {
         sliced.reprobe = SliceSpec::Percent(5);
         sliced.base_serial = Some(7);
         assert_eq!(config_digest(&base), config_digest(&sliced));
+    }
+
+    #[test]
+    fn config_digest_ignores_the_worker_count() {
+        let mut two = PipelineConfig::quick();
+        two.workers = Some(2);
+        let mut four = two;
+        four.workers = Some(4);
+        assert_eq!(config_digest(&two), config_digest(&four));
+        assert_eq!(config_digest(&two), config_digest(&PipelineConfig::quick()));
     }
 
     #[test]

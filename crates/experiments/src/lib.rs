@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod clock;
 pub mod delta_report;
 pub mod exp_audit;
 pub mod exp_background;

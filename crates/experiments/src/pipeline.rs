@@ -24,17 +24,6 @@
 //!   runs the detector, and sends the finished [`AsResult`] into a
 //!   **bounded channel**.
 //!
-//! By default the tail runs **columnar** ([`PipelineConfig::columnar`]):
-//! the AS's raw traces are batch-converted into a struct-of-arrays
-//! [`TraceArena`] at the head of the tail, fingerprinting goes through
-//! one [`FingerprintCache::evidence_batch`] call over the arena's
-//! aligned address/TTL columns, restriction and augmentation compact
-//! column to column, and detection is one [`ArenaDetector`] pass over
-//! the per-AS [`AugmentedArena`]. Setting `columnar: false` keeps the
-//! original nested per-trace tail; both paths are result-identical (to
-//! each other and to the staged build) at any worker count, enforced
-//! by the `parallel_build_matches_*` tests below.
-//!
 //! Admission is coupled to the channel: the next AS enters the pool
 //! only after a tail's send is accepted, so raw-trace intermediates
 //! resident at once are bounded by the admission window plus the
@@ -43,14 +32,13 @@
 //!
 //! The pre-refactor **staged** build (five barriers: generate → probe
 //! → fingerprint → alias → detect) is kept as
-//! [`Dataset::build_staged`]: it is the comparison baseline for the
-//! result-identity regression tests at the bottom of this file and
-//! for the `bench-pipeline` report.
+//! [`Dataset::build_staged`]: it is the reference the result-identity
+//! regression tests at the bottom of this file compare against.
 //!
 //! ## Determinism
 //!
-//! Both modes are result-identical to each other at any worker
-//! count, by construction:
+//! The streaming build is result-identical to the staged one at any
+//! worker count, by construction:
 //!
 //! * campaign units are pure functions of `(AS, VP)`; tails reassemble
 //!   them in VP order, reproducing the staged AS-major/VP-minor trace
@@ -68,10 +56,8 @@
 //!   order.
 
 use crate::admission::AdmissionWindow;
-use crate::clock::WorkClock;
 use arest_conc::atomic::{AtomicUsize, Ordering};
 use arest_conc::sync::Mutex;
-use arest_core::columnar::{ArenaDetector, AugmentedArena};
 use arest_core::detect::{detect_segments_spanned, DetectedSegment, DetectorConfig};
 use arest_core::model::{AugmentedHop, AugmentedTrace};
 use arest_fingerprint::combined::{fingerprint_addresses, FingerprintSource, VendorEvidence};
@@ -83,7 +69,6 @@ use arest_mapping::bdrmap::AsAnnotator;
 use arest_mapping::bgp::{BgpRoute, BgpView};
 use arest_netgen::internet::{generate_probed, GenConfig, Internet};
 use arest_obs::{Counter, Gauge, Span, SpanContext, Tracer};
-use arest_tnt::arena::TraceArena;
 use arest_tnt::campaign::{campaign_unit, run_campaigns_spanned, CampaignConfig, VantagePoint};
 use arest_tnt::pool::{self, Injector};
 use arest_tnt::trace::{collect_addrs, Trace};
@@ -127,14 +112,6 @@ struct StreamMetrics {
     /// `pipeline.stream.peak_results_queued` — high watermark of
     /// finished ASes waiting in the bounded channel.
     peak_queued: Gauge,
-    /// `pipeline.columnar.arenas` — per-AS trace arenas built.
-    columnar_arenas: Counter,
-    /// `pipeline.columnar.traces` — traces converted to columns.
-    columnar_traces: Counter,
-    /// `pipeline.columnar.hops` — hops laid out across the columns.
-    columnar_hops: Counter,
-    /// `pipeline.columnar.lses` — label-stack entries flattened.
-    columnar_lses: Counter,
 }
 
 static STREAM_METRICS: LazyLock<StreamMetrics> = LazyLock::new(|| {
@@ -143,10 +120,6 @@ static STREAM_METRICS: LazyLock<StreamMetrics> = LazyLock::new(|| {
         ases: registry.counter("pipeline.stream.ases"),
         peak_resident: registry.gauge("pipeline.stream.peak_resident_traces"),
         peak_queued: registry.gauge("pipeline.stream.peak_results_queued"),
-        columnar_arenas: registry.counter("pipeline.columnar.arenas"),
-        columnar_traces: registry.counter("pipeline.columnar.traces"),
-        columnar_hops: registry.counter("pipeline.columnar.hops"),
-        columnar_lses: registry.counter("pipeline.columnar.lses"),
     }
 });
 
@@ -255,12 +228,6 @@ pub struct PipelineConfig {
     /// `AREST_WORKERS` / the machine's available parallelism
     /// (`arest_tnt::pool::worker_count`).
     pub workers: Option<usize>,
-    /// Run the streaming per-AS tail over columnar arenas (the
-    /// default). `false` keeps the nested per-trace tail — the
-    /// comparison baseline `bench-pipeline` reports against. Results
-    /// are identical either way; only the memory layout of the hot
-    /// fingerprint/detect path changes.
-    pub columnar: bool,
     /// Which slice of the catalog this campaign re-probes. Non-full
     /// slices skip plane deployment, target lists, probing, and tails
     /// for every unselected AS — its [`AsResult`] comes back empty —
@@ -283,7 +250,6 @@ impl Default for PipelineConfig {
             alias_paths_per_as: 12,
             detector: DetectorConfig::default(),
             workers: None,
-            columnar: true,
             reprobe: SliceSpec::Full,
             base_serial: None,
         }
@@ -299,7 +265,6 @@ impl PipelineConfig {
             alias_paths_per_as: 4,
             detector: DetectorConfig::default(),
             workers: None,
-            columnar: true,
             reprobe: SliceSpec::Full,
             base_serial: None,
         }
@@ -353,42 +318,13 @@ impl AsResult {
     }
 }
 
-/// Which execution model a build ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildMode {
-    /// Five barriers: generate → probe → fingerprint → alias → detect.
-    Staged,
-    /// Generate barrier, then AS-major streaming dataflow.
-    Streaming,
-}
-
-impl BuildMode {
-    /// The mode's lowercase name (used in spans, reports, and bench
-    /// artifacts).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BuildMode::Staged => "staged",
-            BuildMode::Streaming => "streaming",
-        }
-    }
-}
-
-/// Wall-clock duration of each pipeline phase. Staged builds fill the
-/// five barrier slots; streaming builds fill `generate` and `stream`.
+/// Wall-clock duration of each streaming-build phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Internet generation + BGP view + Anaximander target lists.
     pub generate: Duration,
-    /// Staged: the TNT campaigns ((AS, VP) work units).
-    pub probe: Duration,
-    /// Staged: SNMPv3 harvest + TTL fingerprinting.
-    pub fingerprint: Duration,
-    /// Staged: alias candidate generation + MIDAR resolution.
-    pub alias: Duration,
-    /// Staged: AS annotation, restriction, augmentation, detection.
-    pub detect: Duration,
-    /// Streaming: the whole probe→…→detect dataflow (one phase — the
-    /// barriers it replaced no longer exist as separable intervals).
+    /// The whole probe→…→detect dataflow (one phase — the barriers it
+    /// replaced no longer exist as separable intervals).
     pub stream: Duration,
 }
 
@@ -397,47 +333,21 @@ pub struct StageTimings {
 pub struct BuildStats {
     /// Worker threads the parallel stages ran on.
     pub workers: usize,
-    /// Which execution model ran.
-    pub mode: BuildMode,
     /// Per-phase wall-clock timings.
     pub timings: StageTimings,
     /// End-to-end build time.
     pub total: Duration,
-    /// High watermark of raw traces resident at once. Staged builds
-    /// hold every trace across the barriers, so this equals
-    /// [`Dataset::raw_trace_count`]; streaming builds stay bounded by
-    /// the admission window regardless of catalog size.
+    /// High watermark of raw traces resident at once, bounded by the
+    /// admission window regardless of catalog size.
     pub peak_resident_traces: usize,
-    /// Summed fingerprint work: the staged barrier's wall clock, or
-    /// the per-AS fingerprint sections (arena conversion + the batch
-    /// evidence pass, or the nested per-address loop) totalled across
-    /// streaming workers via [`WorkClock`].
-    pub fingerprint_work: Duration,
-    /// Summed annotate/restrict/augment/detect work, accounted the
-    /// same way. `bench-pipeline` derives the columnar-vs-nested
-    /// speedup from these two work figures, which are layout-sensitive
-    /// but scheduling-insensitive (unlike the end-to-end wall clock,
-    /// which probing dominates).
-    pub detect_work: Duration,
 }
 
 impl BuildStats {
-    /// `(name, duration)` pairs for the phases this mode actually ran,
-    /// in pipeline order. The names match the
-    /// `pipeline.stage.{name}` span names, so bench artifacts and
-    /// span trees can be cross-checked.
+    /// `(name, duration)` pairs for the build's phases, in pipeline
+    /// order. The names match the `pipeline.stage.{name}` span names,
+    /// so bench artifacts and span trees can be cross-checked.
     pub fn stages(&self) -> Vec<(&'static str, Duration)> {
-        let t = &self.timings;
-        match self.mode {
-            BuildMode::Staged => vec![
-                ("generate", t.generate),
-                ("probe", t.probe),
-                ("fingerprint", t.fingerprint),
-                ("alias", t.alias),
-                ("detect", t.detect),
-            ],
-            BuildMode::Streaming => vec![("generate", t.generate), ("stream", t.stream)],
-        }
+        vec![("generate", self.timings.generate), ("stream", self.timings.stream)]
     }
 }
 
@@ -462,8 +372,8 @@ pub struct Dataset {
     /// [`FingerprintCache`] held at completion, address-sorted. The
     /// ledger persists it in the run's aux sidecar so the next
     /// incremental run can rehydrate and skip those probes. Streaming
-    /// builds fill it; the staged baseline (no shared cache) leaves it
-    /// empty.
+    /// builds fill it; the staged reference build (no shared cache)
+    /// leaves it empty.
     pub cache_entries: Vec<(Ipv4Addr, Option<u8>)>,
 }
 
@@ -545,8 +455,6 @@ fn publish_build_metrics(stats: &BuildStats, raw_trace_count: usize) {
         registry.histogram(&format!("pipeline.stage.{name}.us")).record(us(duration));
     }
     registry.histogram("pipeline.total.us").record(us(stats.total));
-    registry.histogram("pipeline.work.fingerprint.us").record(us(stats.fingerprint_work));
-    registry.histogram("pipeline.work.detect.us").record(us(stats.detect_work));
     registry.counter("pipeline.builds").inc();
     registry.counter("pipeline.raw_traces").add(raw_trace_count as u64);
     registry.gauge("pipeline.workers").set(stats.workers as i64);
@@ -597,15 +505,6 @@ struct StreamedAs {
     raw_traces: usize,
 }
 
-/// What a tail variant hands back to the shared send/admit epilogue:
-/// the finished result, this AS's fingerprint slice, and its per-VP
-/// discovery contribution.
-type TailOutput = (
-    AsResult,
-    HashMap<Ipv4Addr, (VendorEvidence, FingerprintSource)>,
-    HashMap<Arc<str>, HashSet<Ipv4Addr>>,
-);
-
 /// The shared state every streaming work unit runs against.
 struct StreamEngine<'a> {
     net: &'a arest_simnet::Network,
@@ -633,10 +532,6 @@ struct StreamEngine<'a> {
     resident: AtomicUsize,
     /// High watermark of `resident`.
     peak_resident: AtomicUsize,
-    /// Fingerprint-section work summed across tails (any worker).
-    fingerprint_work: WorkClock,
-    /// Annotate/restrict/detect-section work summed across tails.
-    detect_work: WorkClock,
     /// The `pipeline.stage.stream` span every flow parents to.
     stream_ctx: SpanContext,
 }
@@ -692,8 +587,7 @@ impl StreamEngine<'_> {
     }
 
     /// The per-AS tail: reassemble the campaigns in VP order, run the
-    /// fingerprint → alias → annotate/detect chain (columnar by
-    /// default, nested when [`PipelineConfig::columnar`] is off), and
+    /// fingerprint → alias → annotate/detect chain trace by trace, and
     /// stream the finished result out. An accepted send admits the
     /// next AS.
     fn tail(
@@ -706,6 +600,7 @@ impl StreamEngine<'_> {
         let flow_span = flow.span.lock().expect("flow span lock").take().expect("tail runs once");
         let mut tail_span = TRACER.span_with_parent("pipeline.as.tail", flow_span.context());
         tail_span.record("as_idx", as_idx);
+        let asn = self.plan_asns[as_idx];
 
         // VP-order reassembly reproduces the staged AS-major/VP-minor
         // trace layout exactly.
@@ -718,44 +613,8 @@ impl StreamEngine<'_> {
         let raw_count = raw.len();
         tail_span.record("traces", raw_count);
 
-        let (mut result, fingerprints, per_vp) = if self.config.columnar {
-            self.tail_columnar(as_idx, raw, &tail_span)
-        } else {
-            self.tail_nested(as_idx, raw, &tail_span)
-        };
-        result.raw_traces = raw_count;
-        drop(tail_span);
-        drop(flow_span);
-        STREAM_METRICS.ases.inc();
-
-        let streamed = StreamedAs { as_idx, result, fingerprints, per_vp, raw_traces: raw_count };
-        if results.send(streamed).is_err() {
-            // The consumer is gone (it panicked and dropped the
-            // receiver). Stop admitting; the queued units drain and
-            // the pool shuts down.
-            return;
-        }
-        STREAM_METRICS.peak_queued.set_max(results.len() as i64);
-
-        // Backpressure point: only an *accepted* result opens the
-        // window for the next AS. The window hands out positions in
-        // the selection, which map to catalog indices here.
-        if let Some(next) = self.window.completed() {
-            for unit in self.admit(self.selected[next]) {
-                injector.push(unit);
-            }
-        }
-    }
-
-    /// The original per-trace tail over nested traces: the comparison
-    /// baseline the columnar path is benchmarked (and regression-
-    /// tested) against.
-    fn tail_nested(&self, as_idx: usize, raw: Vec<Trace>, tail_span: &Span) -> TailOutput {
-        let asn = self.plan_asns[as_idx];
-
         // Fingerprint: evidence for every TTL-bearing address this
         // AS observed, answered by the shared memoizing cache.
-        let fp_started = Instant::now();
         let mut fp_span = TRACER.span_with_parent("pipeline.as.fingerprint", tail_span.context());
         let (addrs, te_ttls) = collect_addrs(&raw);
         fp_span.record("addrs", addrs.len());
@@ -766,7 +625,6 @@ impl StreamEngine<'_> {
             }
         }
         drop(fp_span);
-        self.fingerprint_work.add(fp_started.elapsed());
 
         // Alias: this AS's paths only; the view shares the ownership
         // table with every other AS's view.
@@ -782,8 +640,8 @@ impl StreamEngine<'_> {
         drop(alias_span);
 
         // Annotate/restrict/detect, trace by trace.
-        let detect_started = Instant::now();
         let mut result = self.empty_result(as_idx);
+        result.raw_traces = raw_count;
         let mut per_vp: HashMap<Arc<str>, HashSet<Ipv4Addr>> = HashMap::new();
         for trace in raw {
             let mut span = TRACER.span_with_parent("pipeline.detect.unit", tail_span.context());
@@ -807,137 +665,27 @@ impl StreamEngine<'_> {
             result.augmented.push(processed.augmented);
             result.segments.push(processed.segments);
         }
-        self.detect_work.add(detect_started.elapsed());
-        (result, fingerprints, per_vp)
-    }
+        drop(tail_span);
+        drop(flow_span);
+        STREAM_METRICS.ases.inc();
 
-    /// The columnar tail: one batch conversion into a [`TraceArena`],
-    /// then every hot section — address collection, the fingerprint
-    /// batch, restriction, augmentation, the five-flag scan — walks
-    /// flat columns instead of nested `Arc`-linked hops. Result-
-    /// identical to [`StreamEngine::tail_nested`] by construction
-    /// (the fused restrict/augment pass applies the same span cut and
-    /// duplicate collapse; [`ArenaDetector`] mirrors `detect_segments`
-    /// branch for branch), and regression-proven by the
-    /// `parallel_build_matches_*` tests.
-    fn tail_columnar(&self, as_idx: usize, raw: Vec<Trace>, tail_span: &Span) -> TailOutput {
-        let asn = self.plan_asns[as_idx];
+        let streamed = StreamedAs { as_idx, result, fingerprints, per_vp, raw_traces: raw_count };
+        if results.send(streamed).is_err() {
+            // The consumer is gone (it panicked and dropped the
+            // receiver). Stop admitting; the queued units drain and
+            // the pool shuts down.
+            return;
+        }
+        STREAM_METRICS.peak_queued.set_max(results.len() as i64);
 
-        // Conversion is charged to the fingerprint section: the arena
-        // exists to serve the sections timed below, so the columnar
-        // work figures carry its cost rather than hiding it.
-        let fp_started = Instant::now();
-        let arena = TraceArena::from_traces(&raw);
-        drop(raw);
-        STREAM_METRICS.columnar_arenas.inc();
-        STREAM_METRICS.columnar_traces.add(arena.len() as u64);
-        STREAM_METRICS.columnar_hops.add(arena.hop_count() as u64);
-        STREAM_METRICS.columnar_lses.add(arena.lse_count() as u64);
-
-        // Fingerprint: the arena's aligned (address, TE TTL) columns
-        // feed one sharded batch probe — same evidence, same cache
-        // counters as the nested per-address loop.
-        let mut fp_span = TRACER.span_with_parent("pipeline.as.fingerprint", tail_span.context());
-        let (addrs, te_ttls) = arena.collect_addrs();
-        fp_span.record("addrs", addrs.len());
-        let evidence = self.cache.evidence_batch(&addrs, &te_ttls, self.snmp);
-        let mut fingerprints = HashMap::with_capacity(addrs.len());
-        for (&addr, evidence) in addrs.iter().zip(evidence) {
-            if let Some(evidence) = evidence {
-                fingerprints.insert(addr, evidence);
+        // Backpressure point: only an *accepted* result opens the
+        // window for the next AS. The window hands out positions in
+        // the selection, which map to catalog indices here.
+        if let Some(next) = self.window.completed() {
+            for unit in self.admit(self.selected[next]) {
+                injector.push(unit);
             }
         }
-        drop(fp_span);
-        self.fingerprint_work.add(fp_started.elapsed());
-
-        // Alias: identical inputs to the nested path — views iterate
-        // the same traces in the same order.
-        let mut alias_span = TRACER.span_with_parent("pipeline.as.alias", tail_span.context());
-        let paths: Vec<Vec<Ipv4Addr>> = arena
-            .iter()
-            .take(self.config.alias_paths_per_as)
-            .map(|t| t.responding_addrs().collect())
-            .collect();
-        alias_span.record("paths", paths.len());
-        let clusters = AliasResolver::resolve_paths(&self.oracle, &paths, 5);
-        let annotator = self.annotator.with_aliases(clusters);
-        drop(alias_span);
-
-        // Annotate/restrict/augment column to column. Each raw trace
-        // still gets its `pipeline.detect.unit` span (dropped traces
-        // close theirs childless, as in the nested path); kept traces
-        // hold theirs open until the detector pass below parents the
-        // `core.detect.trace` span under it.
-        let detect_started = Instant::now();
-        let mut result = self.empty_result(as_idx);
-        let mut per_vp: HashMap<Arc<str>, HashSet<Ipv4Addr>> = HashMap::new();
-        let mut augmented = AugmentedArena::new();
-        let mut unit_spans: Vec<Span> = Vec::new();
-        for view in arena.iter() {
-            let mut span = TRACER.span_with_parent("pipeline.detect.unit", tail_span.context());
-            span.record("as_idx", as_idx);
-            span.record("dst", view.dst());
-            let Some((first, last)) = annotator.intra_as_span(view.hops().map(|h| h.addr()), asn)
-            else {
-                continue;
-            };
-            // Restriction and augmentation fused into one pass over
-            // the kept hop span: the duplicate-collapse rule is the
-            // nested path's (first of an address run wins, silent hops
-            // break runs), each kept hop lands simultaneously in the
-            // nested restricted trace the dataset exposes and in the
-            // augmented arena the detector scans.
-            let vp = view.vp().clone();
-            let vp_set = per_vp.entry(vp.clone()).or_default();
-            augmented.begin_trace(vp.clone(), view.dst());
-            let mut kept_hops = Vec::with_capacity(last - first + 1);
-            let mut prev_addr: Option<Ipv4Addr> = None;
-            for j in first..=last {
-                let hop = view.hop(j);
-                let addr = hop.addr();
-                if j > first && addr.is_some() && addr == prev_addr {
-                    continue;
-                }
-                prev_addr = addr;
-                if let Some(addr) = addr {
-                    if annotator.annotate(addr) == Some(asn) {
-                        result.discovered.insert(addr);
-                        vp_set.insert(addr);
-                    }
-                }
-                augmented.push_hop(
-                    addr,
-                    hop.lses(),
-                    addr.and_then(|a| fingerprints.get(&a).map(|(e, _)| *e)),
-                    hop.revealed(),
-                    hop.quoted_ip_ttl(),
-                    hop.is_destination(),
-                );
-                kept_hops.push(hop.to_hop());
-            }
-            augmented.finish_trace();
-            result.restricted.push(Trace {
-                vp,
-                src: view.src(),
-                dst: view.dst(),
-                hops: kept_hops,
-                reached: view.reached(),
-            });
-            unit_spans.push(span);
-        }
-
-        // The five-flag scan, one detector pass over the whole arena
-        // (scratch buffers reused across traces).
-        let mut detector = ArenaDetector::new(&augmented, &self.config.detector);
-        for (t, span) in unit_spans.iter().enumerate() {
-            result.segments.push(detector.detect_spanned(t, span.context()));
-        }
-        drop(unit_spans);
-
-        // Materialize the nested owner shape the dataset exposes.
-        result.augmented = augmented.to_traces();
-        self.detect_work.add(detect_started.elapsed());
-        (result, fingerprints, per_vp)
     }
 
     /// An [`AsResult`] shell for `as_idx`, before any traces land.
@@ -1033,8 +781,7 @@ impl Dataset {
         let mut timings = StageTimings::default();
         let mut build_span = TRACER.span("pipeline.build");
         build_span.record("workers", workers);
-        build_span.record("mode", BuildMode::Streaming.as_str());
-        build_span.record("detect", if config.columnar { "columnar" } else { "nested" });
+        build_span.record("mode", "streaming");
         let build_ctx = build_span.context();
 
         let slice_mask = config.slice_mask();
@@ -1085,8 +832,6 @@ impl Dataset {
             window: AdmissionWindow::new(window, n_selected),
             resident: AtomicUsize::new(0),
             peak_resident: AtomicUsize::new(0),
-            fingerprint_work: WorkClock::new(),
-            detect_work: WorkClock::new(),
             stream_ctx: stream_span.context(),
         };
 
@@ -1137,8 +882,6 @@ impl Dataset {
         // Relaxed: every worker has joined (the scope closed above),
         // so their watermark updates happen-before this load anyway.
         let peak_resident_traces = engine.peak_resident.load(Ordering::Relaxed);
-        let fingerprint_work = engine.fingerprint_work.total();
-        let detect_work = engine.detect_work.total();
         let cache_entries = engine.cache.export();
         drop(engine);
 
@@ -1191,28 +934,15 @@ impl Dataset {
             cache_entries,
         };
         drop(build_span);
-        let stats = BuildStats {
-            workers,
-            mode: BuildMode::Streaming,
-            timings,
-            total: build_started.elapsed(),
-            peak_resident_traces,
-            fingerprint_work,
-            detect_work,
-        };
+        let stats =
+            BuildStats { workers, timings, total: build_started.elapsed(), peak_resident_traces };
         publish_build_metrics(&stats, dataset.raw_trace_count);
         (dataset, stats)
     }
 
     /// Runs the pre-refactor five-barrier pipeline. Kept as the
-    /// comparison baseline: the streaming build must be
-    /// result-identical to this one (regression-tested), and
-    /// `bench-pipeline` reports both.
-    pub fn build_staged(config: PipelineConfig) -> Dataset {
-        Dataset::build_staged_with_stats(config).0
-    }
-
-    /// [`Dataset::build_staged`] with per-stage timings.
+    /// reference implementation: the streaming build must be
+    /// result-identical to this one (regression-tested).
     ///
     /// When tracing is enabled, the build opens a `pipeline.build`
     /// root span with one
@@ -1220,24 +950,19 @@ impl Dataset {
     /// child per barrier; every pool work unit opens its own span
     /// explicitly parented to its stage's [`SpanContext`], so the
     /// reconstructed tree is identical at any worker count.
-    pub fn build_staged_with_stats(config: PipelineConfig) -> (Dataset, BuildStats) {
-        let build_started = Instant::now();
+    pub fn build_staged(config: PipelineConfig) -> Dataset {
         let workers = config.workers.unwrap_or_else(pool::worker_count);
-        let mut timings = StageTimings::default();
         let mut build_span = TRACER.span("pipeline.build");
         build_span.record("workers", workers);
-        build_span.record("mode", BuildMode::Staged.as_str());
+        build_span.record("mode", "staged");
         let build_ctx = build_span.context();
 
         // ---- Generation: Internet, BGP view, target lists ----
-        let stage = Instant::now();
         let slice_mask = config.slice_mask();
         let generated = generate_phase(&config, workers, build_ctx, slice_mask.as_deref());
-        timings.generate = stage.elapsed();
         let Generated { internet, vps, target_lists } = generated;
 
         // ---- Probing: all campaigns as one batch of (AS, VP) units ----
-        let stage = Instant::now();
         let stage_span = TRACER.span_with_parent("pipeline.stage.probe", build_ctx);
         let campaign_cfg = CampaignConfig::default();
         let raw_per_as: Vec<Vec<Trace>> = run_campaigns_spanned(
@@ -1251,10 +976,8 @@ impl Dataset {
         let raw_trace_count = raw_per_as.iter().map(Vec::len).sum();
         let raw_lens: Vec<usize> = raw_per_as.iter().map(Vec::len).collect();
         drop(stage_span);
-        timings.probe = stage.elapsed();
 
         // ---- Fingerprinting ----
-        let stage = Instant::now();
         let stage_span = TRACER.span_with_parent("pipeline.stage.fingerprint", build_ctx);
         let fingerprint_ctx = stage_span.context();
         let snmp = SnmpDataset::harvest(&internet.net);
@@ -1281,10 +1004,8 @@ impl Dataset {
             fingerprints.extend(map);
         }
         drop(stage_span);
-        timings.fingerprint = stage.elapsed();
 
         // ---- Alias resolution (feeds the annotator) ----
-        let stage = Instant::now();
         let stage_span = TRACER.span_with_parent("pipeline.stage.alias", build_ctx);
         let alias_ctx = stage_span.context();
         let oracle = IpIdOracle::new(&internet.net);
@@ -1306,10 +1027,8 @@ impl Dataset {
         }
         let clusters = resolver.resolve(&oracle, 5);
         drop(stage_span);
-        timings.alias = stage.elapsed();
 
         // ---- AS annotation, restriction, and detection ----
-        let stage = Instant::now();
         let stage_span = TRACER.span_with_parent("pipeline.stage.detect", build_ctx);
         let detect_ctx = stage_span.context();
         let mut annotator = AsAnnotator::new(internet.ownership.iter().copied());
@@ -1372,9 +1091,8 @@ impl Dataset {
             result.segments.push(trace.segments);
         }
         drop(stage_span);
-        timings.detect = stage.elapsed();
-
-        let dataset = Dataset {
+        drop(build_span);
+        Dataset {
             internet,
             config,
             results,
@@ -1383,22 +1101,7 @@ impl Dataset {
             per_vp_discovered,
             raw_trace_count,
             cache_entries: Vec::new(),
-        };
-        drop(build_span);
-        let stats = BuildStats {
-            workers,
-            mode: BuildMode::Staged,
-            timings,
-            total: build_started.elapsed(),
-            // Every raw trace survives across the barriers.
-            peak_resident_traces: raw_trace_count,
-            // Barrier builds *are* their work figures: the whole
-            // stage's wall clock is fingerprint/detect time.
-            fingerprint_work: timings.fingerprint,
-            detect_work: timings.detect,
-        };
-        publish_build_metrics(&stats, dataset.raw_trace_count);
-        (dataset, stats)
+        }
     }
 
     /// The result for paper identifier `id`.
@@ -1629,26 +1332,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_nested_detect_path_quick_config() {
-        // The columnar tail's identity guarantee: struct-of-arrays
-        // fingerprint/restrict/detect reproduces the nested per-trace
-        // tail bit for bit, at any worker count.
-        let mut config = PipelineConfig::quick();
-        config.workers = Some(1);
-        config.columnar = false;
-        let nested = Dataset::build(config);
-        config.columnar = true;
-        let columnar_serial = Dataset::build(config);
-        assert_result_identical(&nested, &columnar_serial);
-        config.workers = Some(4);
-        let columnar_parallel = Dataset::build(config);
-        assert_result_identical(&nested, &columnar_parallel);
-    }
-
-    #[test]
     fn empty_vp_catalog_streams_empty_results() {
         // No vantage points → every AS admits a bare tail over zero
-        // traces: the empty-arena edge of the columnar path.
+        // traces, and the build still yields one empty result per AS.
         let mut config = PipelineConfig::quick();
         config.gen.vp_count = 0;
         config.workers = Some(2);
@@ -1697,7 +1383,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
             seen.push(result.id);
         });
-        assert_eq!(stats.mode, BuildMode::Streaming);
         assert_eq!(seen.len(), 60, "one callback per AS");
         let distinct: HashSet<u8> = seen.iter().copied().collect();
         assert_eq!(distinct.len(), 60, "no AS streams twice");
@@ -1714,28 +1399,11 @@ mod tests {
     fn build_with_stats_reports_stage_timings() {
         let (ds, stats) = Dataset::build_with_stats(PipelineConfig::quick());
         assert!(stats.workers >= 1);
-        assert_eq!(stats.mode, BuildMode::Streaming);
         let phases = stats.stages();
         assert_eq!(phases.len(), 2, "streaming runs generate + stream");
         let summed: Duration = phases.iter().map(|(_, d)| *d).sum();
         assert!(summed <= stats.total, "phases are disjoint slices of the build");
         assert!(stats.timings.stream > Duration::ZERO, "the dataflow cannot be instantaneous");
         assert!(stats.peak_resident_traces <= ds.raw_trace_count);
-        assert!(stats.fingerprint_work > Duration::ZERO, "tails must log fingerprint work");
-        assert!(stats.detect_work > Duration::ZERO, "tails must log detect work");
-    }
-
-    #[test]
-    fn staged_build_reports_five_barriers() {
-        let (ds, stats) = Dataset::build_staged_with_stats(PipelineConfig::quick());
-        assert_eq!(stats.mode, BuildMode::Staged);
-        assert_eq!(stats.stages().len(), 5);
-        assert!(stats.timings.probe > Duration::ZERO, "probing cannot be instantaneous");
-        assert_eq!(
-            stats.peak_resident_traces, ds.raw_trace_count,
-            "a barrier build holds every raw trace at once"
-        );
-        assert_eq!(stats.fingerprint_work, stats.timings.fingerprint);
-        assert_eq!(stats.detect_work, stats.timings.detect);
     }
 }

@@ -86,6 +86,29 @@ fn committing_the_same_build_twice_yields_identical_payloads_and_an_empty_delta(
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Payload digest of the quick campaign. It pins the streaming build's
+/// output across refactors: a change to it is a change to what the
+/// pipeline measures, and must be made by hand with its reason given.
+const QUICK_PAYLOAD_DIGEST: u64 = 0xdcdb_ddaa_d32b_3fee;
+
+#[test]
+fn parallel_build_matches_golden_payload_digest() {
+    for workers in [1, 4] {
+        let mut config = PipelineConfig::quick();
+        config.workers = Some(workers);
+        let dir = scratch_dir(&format!("golden-{workers}"));
+        let ledger = Ledger::open(&dir).expect("open ledger");
+        let receipt = commit_dataset(&ledger, &Dataset::build(config), &config, 1_750_000_000)
+            .expect("commit");
+        assert_eq!(
+            receipt.payload_digest, QUICK_PAYLOAD_DIGEST,
+            "payload digest {:016x} at {workers} worker(s)",
+            receipt.payload_digest
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
 /// Commits a full quick campaign as the base run, then re-probes the
 /// given slice against it, returning the ledger plus both commits.
 fn base_then_slice(

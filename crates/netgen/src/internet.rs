@@ -41,8 +41,8 @@ pub struct GenConfig {
     /// verbatim (byte-identical to a `catalog_scale: 1` run); each
     /// further replica re-instantiates the 60 profiles under fresh
     /// ASNs (`asn + 1_000_000·r`), disjoint address space, and its own
-    /// deterministic RNG streams. This is the throughput axis for the
-    /// columnar-vs-nested benchmarks: 10× catalog, same per-AS shape.
+    /// deterministic RNG streams. This is the pipeline's throughput
+    /// axis: 10× catalog, same per-AS shape.
     /// Capped at 63 by the address plan (`plan_as_replica`).
     pub catalog_scale: usize,
 }

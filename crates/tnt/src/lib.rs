@@ -9,9 +9,6 @@
 //!
 //! * [`trace`] — the augmented trace model: per-hop address, RTT,
 //!   quoted LSE stack, quoted IP TTL (qTTL), reply IP TTL.
-//! * [`arena`] — the same trace data in columnar (struct-of-arrays)
-//!   layout for the pipeline's hot scans, with a lossless converter
-//!   in both directions.
 //! * [`tracer`] — flow-stable UDP probing, ICMP parsing (through the
 //!   real `arest-wire` codecs), probe/reply matching on the Paris
 //!   identifier.
@@ -32,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod campaign;
 pub mod multipath;
 mod obs;
@@ -42,7 +38,6 @@ pub mod trace;
 pub mod tracer;
 pub mod tunnels;
 
-pub use arena::{HopView, TraceArena, TraceView};
 pub use campaign::{run_campaign, run_campaigns, CampaignConfig, VantagePoint};
 pub use multipath::{multipath_trace, MdaConfig, MultipathTrace};
 pub use pool::{run_indexed, worker_count};

@@ -244,17 +244,6 @@ impl LabelStack {
         stack
     }
 
-    /// Rebuilds a stack from previously captured entries, verbatim —
-    /// TC, TTL, and bottom-of-stack bits are taken as given.
-    ///
-    /// The caller is responsible for the bottom-bit invariant; the
-    /// intended use is lossless materialization of entries that came
-    /// out of [`LabelStack::entries`] (e.g. from a columnar arena), so
-    /// a round trip reproduces the original stack bit for bit.
-    pub fn from_entries(entries: Vec<Lse>) -> LabelStack {
-        LabelStack { entries }
-    }
-
     /// Number of entries in the stack.
     pub fn depth(&self) -> usize {
         self.entries.len()

@@ -37,13 +37,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> bench-pipeline smoke run (timings informational, not gated)"
 cargo run --release -p arest-experiments --bin arest-experiments -- --quick bench-pipeline
 test -s BENCH_pipeline.json
-grep -q '"columnar_vs_nested_speedup"' BENCH_pipeline.json
+grep -q '"speedup"' BENCH_pipeline.json
 
 echo "==> netgen catalog-scale smoke run (10x replication)"
 cargo run --release -p arest-netgen --bin netgen -- --scale 10 --scale-factor 0.01 --vps 2 \
     | grep -q "total: 600 ASes"
 
-echo "==> columnar-detect smoke run (quick build on the arena tail)"
+echo "==> catalog-scale smoke run (quick build over a 2x catalog)"
 cargo run --release -p arest-experiments --bin arest-experiments -- \
     --quick --catalog-scale 2 headline >/dev/null
 
