@@ -78,8 +78,8 @@
 //! `--out` (or the working directory). Metrics never alter experiment
 //! output: reports are byte-identical with observability on or off.
 //!
-//! `serve` builds the dataset, flattens it into the read-only store
-//! (`arest_experiments::serve_store`), and runs the `arest-serve`
+//! `serve` builds the dataset, flattens it into its run record
+//! (`arest_experiments::ledger_io::snapshot`), and runs the `arest-serve`
 //! HTTP daemon on `--listen` until SIGINT (ctrl-c), which triggers a
 //! graceful shutdown: in-flight requests complete, then the process
 //! exits 0. Observability is forced on so `GET /metrics` reports live
@@ -616,7 +616,12 @@ fn percentile(values: &mut [u64], pct: usize) -> u64 {
     values[rank - 1]
 }
 
-/// Builds the dataset, flattens it into the serving store, and runs
+/// The daemon's store over `dataset`'s run record, uncommitted.
+fn serving_store(dataset: &Dataset) -> std::sync::Arc<arest_serve::Store> {
+    std::sync::Arc::new(arest_serve::Store::from(arest_experiments::ledger_io::snapshot(dataset)))
+}
+
+/// Builds the dataset, flattens it into its run record, and runs
 /// the `arest-serve` HTTP daemon on `listen` until SIGINT requests a
 /// graceful shutdown (in-flight requests complete, then this
 /// returns). With `--ledger <dir>`, the completed build is committed
@@ -634,13 +639,13 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
     );
     let started = Instant::now();
     let dataset = Dataset::build(config);
-    let store = std::sync::Arc::new(arest_experiments::serve_store::build(&dataset));
+    let store = serving_store(&dataset);
     eprintln!(
         "dataset ready in {:.1}s: {} ASes, {} addresses, {} raw traces",
         started.elapsed().as_secs_f64(),
-        store.ases().len(),
-        store.summary().addresses,
-        store.summary().raw_traces,
+        store.totals().ases,
+        store.totals().addresses,
+        store.totals().raw_traces,
     );
 
     let ledger = ledger_dir.map(|dir| {
@@ -701,7 +706,7 @@ fn bench_serve(
         config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
     );
     let dataset = Dataset::build(config);
-    let store = std::sync::Arc::new(arest_experiments::serve_store::build(&dataset));
+    let store = serving_store(&dataset);
     if let Some(dir) = ledger_dir {
         commit_to_ledger(dir, &dataset, &config, None);
     }
@@ -712,9 +717,10 @@ fn bench_serve(
 
     // Mixed schedule over real dataset keys: every endpoint class,
     // weighted toward the API routes.
-    let asn = store.ases().first().map_or(0, |s| s.asn);
-    let detected_asn = store.ases().iter().find(|s| s.flags.total() > 0).map_or(asn, |s| s.asn);
-    let addr = store.addrs().next().map(|r| r.addr.to_string());
+    let rows = store.snapshot();
+    let asn = rows.ases.first().map_or(0, |s| s.asn);
+    let detected_asn = rows.ases.iter().find(|s| s.flags.total() > 0).map_or(asn, |s| s.asn);
+    let addr = rows.addrs.first().map(|r| r.addr.to_string());
     let mut targets = vec![
         "/api/summary".to_string(),
         format!("/api/as/{asn}"),

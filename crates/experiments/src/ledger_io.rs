@@ -1,12 +1,16 @@
-//! Committing completed campaigns to an `arest-ledger` directory.
+//! The pipeline side of the run ledger: flattening a built
+//! [`Dataset`] into the workspace's one run record, and committing it.
 //!
-//! The ledger stores plain snapshot rows; this module is the glue
-//! that flattens a built [`Dataset`] through the serving store
-//! (`serve_store::build`, the one canonical flattening) into a
-//! [`RunSnapshot`] and commits it, stamped
-//! with digests of the pipeline configuration and the AS catalog so
-//! `arest-experiments diff` can tell "the Internet changed" from "the
-//! campaign changed".
+//! [`snapshot`] is the one `Dataset → RunSnapshot` flattening. The
+//! ledger commits its rows and the HTTP daemon serves them
+//! (`arest_serve::Store` owns a snapshot), so a campaign is flattened
+//! exactly once. Everything is assembled in catalog order from
+//! deterministic inputs, so for a fixed [`PipelineConfig`] the
+//! snapshot — and therefore its payload digest and every JSON body the
+//! daemon serves — is byte-identical across runs and worker counts.
+//! Commits are stamped with digests of the pipeline configuration and
+//! the AS catalog so `arest-experiments diff` can tell "the Internet
+//! changed" from "the campaign changed".
 //!
 //! Two commit paths exist. [`commit_dataset`] persists a full run
 //! plus its carry-forward sidecar (per-AS raw trace counts and the
@@ -20,13 +24,123 @@
 //! base payload exactly.
 
 use crate::pipeline::{Dataset, PipelineConfig, SliceSpec};
-use arest_ledger::snapshot::{AddrEntry, FlagTotals, RunSnapshot, RunTotals};
+use arest_core::Flag;
+use arest_fingerprint::combined::FingerprintSource;
+use arest_ledger::snapshot::{
+    AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
+};
 use arest_ledger::{
     fnv64, AuxRecord, CommitOptions, CommitReceipt, Ledger, LedgerError, LedgerResult,
 };
-use arest_serve::ledger_bridge::snapshot_from_store;
 use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv4Addr;
+
+/// Flattens a completed dataset into its run record: one AS row per
+/// catalog entry, one address row per discovered address (the first
+/// AS in catalog order to discover it owns it), each detection
+/// attached to every address its segment covers, and the totals
+/// derived from those rows.
+#[must_use]
+pub fn snapshot(dataset: &Dataset) -> RunSnapshot {
+    let mut ases = Vec::with_capacity(dataset.results.len());
+    let mut addrs: BTreeMap<Ipv4Addr, AddrEntry> = BTreeMap::new();
+    for result in &dataset.results {
+        let asn = result.asn.0;
+        for &addr in &result.discovered {
+            addrs.entry(addr).or_insert_with(|| {
+                let evidence = dataset.fingerprints.get(&addr);
+                AddrEntry {
+                    addr,
+                    asn,
+                    fingerprint: evidence.map(|(vendor, _)| vendor.to_string()),
+                    fingerprint_source: evidence.map(|(_, source)| match source {
+                        FingerprintSource::Ttl => "ttl".to_string(),
+                        FingerprintSource::Snmp => "snmp".to_string(),
+                    }),
+                    detections: Vec::new(),
+                }
+            });
+        }
+        let mut flags = FlagTotals::default();
+        for segment in result.all_segments() {
+            match segment.flag {
+                Flag::Cvr => flags.cvr += 1,
+                Flag::Co => flags.co += 1,
+                Flag::Lsvr => flags.lsvr += 1,
+                Flag::Lvr => flags.lvr += 1,
+                Flag::Lso => flags.lso += 1,
+            }
+        }
+        let profile = arest_netgen::catalog::by_id(result.id);
+        ases.push(AsRecord {
+            id: result.id,
+            asn,
+            name: profile.map_or("unknown", |p| p.name).to_string(),
+            astype: profile.map_or_else(|| "unknown".to_string(), |p| p.astype.to_string()),
+            confirmation: match profile.map(|p| p.confirmation) {
+                Some(arest_netgen::Confirmation::Cisco) => "cisco",
+                Some(arest_netgen::Confirmation::Survey) => "survey",
+                Some(arest_netgen::Confirmation::None) | None => "none",
+            }
+            .to_string(),
+            analyzed: profile.is_some_and(arest_netgen::AsProfile::analyzed),
+            targets_probed: result.targets_probed as u64,
+            traces: result.restricted.len() as u64,
+            addresses: result.discovered.len() as u64,
+            fingerprinted: result
+                .discovered
+                .iter()
+                .filter(|addr| dataset.fingerprints.contains_key(addr))
+                .count() as u64,
+            flags,
+        });
+    }
+    // Detections attach after every address row exists, walking traces
+    // and segments in stored (deterministic) order, so each address's
+    // detection list is reproducible.
+    for result in &dataset.results {
+        for (trace, segments) in result.detections() {
+            for segment in segments {
+                let p = &segment.provenance;
+                let detection = DetectionRecord {
+                    asn: result.asn.0,
+                    vp: trace.vp.to_string(),
+                    dst: trace.dst.to_string(),
+                    flag: segment.flag.to_string(),
+                    stars: segment.flag.signal_strength(),
+                    start: segment.start as u64,
+                    end: segment.end as u64,
+                    label: segment.label.value(),
+                    suffix_based: segment.suffix_based,
+                    provenance: ProvenanceRecord {
+                        trigger_hop: p.trigger_hop as u64,
+                        run_len: p.run_len as u64,
+                        distinct_addrs: p.distinct_addrs as u64,
+                        lses_consulted: p.lses_consulted as u64,
+                        effective_depth: p.effective_depth as u64,
+                        fingerprint: p.fingerprint.map(|e| e.to_string()),
+                        label_in_vendor_range: p.label_in_vendor_range,
+                        suffix_matched: p.suffix_matched,
+                        chain: p.chain(),
+                    },
+                };
+                for hop in &trace.hops[segment.start..=segment.end] {
+                    if let Some(entry) = hop.addr.and_then(|addr| addrs.get_mut(&addr)) {
+                        entry.detections.push(detection.clone());
+                    }
+                }
+            }
+        }
+    }
+    let addrs: Vec<AddrEntry> = addrs.into_values().collect();
+    let totals = RunTotals::from_rows(
+        &ases,
+        &addrs,
+        dataset.raw_trace_count as u64,
+        dataset.per_vp_discovered.len() as u64,
+    );
+    RunSnapshot { ases, addrs, totals }
+}
 
 /// Digest of the full pipeline configuration (every knob that shapes
 /// the campaign, via its `Debug` rendering — the config is a plain
@@ -83,8 +197,7 @@ pub fn commit_dataset(
     config: &PipelineConfig,
     committed_unix: u64,
 ) -> LedgerResult<CommitReceipt> {
-    let store = crate::serve_store::build(dataset);
-    let snapshot = snapshot_from_store(&store);
+    let snapshot = snapshot(dataset);
     let options = CommitOptions {
         committed_unix,
         config_digest: config_digest(config),
@@ -133,12 +246,14 @@ pub fn commit_incremental(
         return Err(LedgerError::Malformed("base run measured a different AS catalog"));
     }
 
-    let store = crate::serve_store::build(dataset);
-    let fresh = snapshot_from_store(&store);
+    let fresh = snapshot(dataset);
     if base.snapshot.ases.len() != fresh.ases.len() {
         return Err(LedgerError::Malformed("base run covers a different catalog size"));
     }
     let mask = config.slice_mask().unwrap_or_else(|| vec![true; fresh.ases.len()]);
+    // A slice's fresh run only hears from the VPs its selected ASes
+    // answered; the campaign-wide figure is the wider view.
+    let vantage_points = fresh.totals.vantage_points.max(base.snapshot.totals.vantage_points);
 
     // Per-AS merge in catalog order: fresh where re-probed, the base
     // record byte-for-byte where carried.
@@ -146,15 +261,15 @@ pub fn commit_incremental(
     let mut fresh_asns = Vec::new();
     let mut carried_asns = Vec::new();
     let mut raw_traces = Vec::with_capacity(fresh.ases.len());
-    for (idx, (f, b)) in fresh.ases.iter().zip(&base.snapshot.ases).enumerate() {
+    for (idx, (f, b)) in fresh.ases.into_iter().zip(base.snapshot.ases).enumerate() {
         if mask[idx] {
             fresh_asns.push(f.asn);
             raw_traces.push((f.asn, dataset.results[idx].raw_traces as u64));
-            ases.push(f.clone());
+            ases.push(f);
         } else {
             carried_asns.push(b.asn);
             raw_traces.push((b.asn, base_aux.raw_for(b.asn).unwrap_or(0)));
-            ases.push(b.clone());
+            ases.push(b);
         }
     }
 
@@ -163,37 +278,18 @@ pub fn commit_incremental(
     // collision.
     let carried_set: HashSet<u32> = carried_asns.iter().copied().collect();
     let mut merged_addrs: BTreeMap<Ipv4Addr, AddrEntry> = BTreeMap::new();
-    for entry in &base.snapshot.addrs {
+    for entry in base.snapshot.addrs {
         if carried_set.contains(&entry.asn) {
-            merged_addrs.insert(entry.addr, entry.clone());
+            merged_addrs.insert(entry.addr, entry);
         }
     }
-    for entry in &fresh.addrs {
-        merged_addrs.insert(entry.addr, entry.clone());
+    for entry in fresh.addrs {
+        merged_addrs.insert(entry.addr, entry);
     }
     let addrs: Vec<AddrEntry> = merged_addrs.into_values().collect();
 
-    let mut flags = FlagTotals::default();
-    for a in &ases {
-        flags.cvr += a.flags.cvr;
-        flags.co += a.flags.co;
-        flags.lsvr += a.flags.lsvr;
-        flags.lvr += a.flags.lvr;
-        flags.lso += a.flags.lso;
-    }
-    let totals = RunTotals {
-        ases: ases.len() as u64,
-        analyzed: ases.iter().filter(|a| a.analyzed).count() as u64,
-        sr_deployed: ases.iter().filter(|a| a.flags.strong() > 0).count() as u64,
-        addresses: addrs.len() as u64,
-        fingerprinted: addrs.iter().filter(|a| a.fingerprint.is_some()).count() as u64,
-        raw_traces: raw_traces.iter().map(|(_, raw)| raw).sum(),
-        intra_as_traces: ases.iter().map(|a| a.traces).sum(),
-        // A slice's fresh run only hears from the VPs its selected
-        // ASes answered; the campaign-wide figure is the wider view.
-        vantage_points: fresh.totals.vantage_points.max(base.snapshot.totals.vantage_points),
-        flags,
-    };
+    let raw_total = raw_traces.iter().map(|(_, raw)| raw).sum();
+    let totals = RunTotals::from_rows(&ases, &addrs, raw_total, vantage_points);
     let merged = RunSnapshot { ases, addrs, totals };
 
     let aux = AuxRecord {

@@ -35,7 +35,6 @@ pub mod pipeline;
 pub mod provenance;
 pub mod render;
 pub mod run_report;
-pub mod serve_store;
 
 pub use pipeline::{AsResult, Dataset, PipelineConfig, SliceSpec};
 pub use render::{Report, Table};

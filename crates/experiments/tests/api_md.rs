@@ -46,7 +46,6 @@
 
 use arest_experiments::pipeline::{Dataset, PipelineConfig};
 use arest_ledger::{CommitOptions, FlagTotals, Ledger, RunSnapshot};
-use arest_serve::ledger_bridge::snapshot_from_store;
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -99,7 +98,7 @@ fn documented_examples_match_served_bytes() {
 
     let config = PipelineConfig::quick();
     let dataset = Dataset::build(config);
-    let store = Arc::new(arest_experiments::serve_store::build(&dataset));
+    let current = arest_experiments::ledger_io::snapshot(&dataset);
 
     // A two-run ledger with pinned commit timestamps: run 1 is the
     // synthetic previous campaign, run 2 the quick campaign itself.
@@ -107,7 +106,6 @@ fn documented_examples_match_served_bytes() {
         std::env::temp_dir().join(format!("arest-api-md-ledger-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ledger_dir);
     let ledger = Arc::new(Ledger::open(&ledger_dir).expect("open ledger"));
-    let current = snapshot_from_store(&store);
     let options = |committed_unix| CommitOptions {
         committed_unix,
         config_digest: arest_experiments::ledger_io::config_digest(&config),
@@ -129,6 +127,7 @@ fn documented_examples_match_served_bytes() {
     // as zero, so the documented scrape is byte-stable no matter how
     // many examples ran before it.
     let registry = arest_obs::Registry::disabled();
+    let store = Arc::new(arest_serve::Store::from(current));
     let mut server =
         arest_serve::Server::bind("127.0.0.1:0", store, &registry, Some(2)).expect("bind");
     server.attach_ledger(Arc::clone(&ledger));

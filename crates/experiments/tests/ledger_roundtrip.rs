@@ -3,17 +3,15 @@
 //! `parallel_build_matches_ledger_roundtrip` rides the CI determinism
 //! gate (`cargo test … parallel_build_matches` at `AREST_WORKERS=1`
 //! and `4`): a campaign committed to the ledger and loaded back must
-//! serve byte-identical JSON to the freshly built store, whatever the
-//! worker count. The other tests pin the delta semantics: same build
-//! twice → byte-identical payloads and an empty delta; a different
-//! campaign → both announcements and withdrawals.
+//! serve byte-identical JSON to the snapshot flattened in memory,
+//! whatever the worker count. The other tests pin the delta semantics:
+//! same build twice → byte-identical payloads and an empty delta; a
+//! different campaign → both announcements and withdrawals.
 
-use arest_experiments::ledger_io::{commit_dataset, commit_incremental};
+use arest_experiments::ledger_io::{commit_dataset, commit_incremental, snapshot};
 use arest_experiments::pipeline::{Dataset, PipelineConfig, SliceSpec};
-use arest_experiments::serve_store;
 use arest_ledger::{Ledger, HEADER_LEN};
-use arest_serve::ledger_bridge::{snapshot_from_store, store_from_snapshot};
-use arest_serve::Store;
+use arest_serve::{render, Json, Store};
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -23,15 +21,17 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Every JSON body the server derives from a store, concatenated:
-/// the summary rollup, each AS detail, and each address detail.
+/// Every JSON body the server derives from a store, concatenated: the
+/// summary rollup, the status facts, each AS detail, and each address
+/// detail.
 fn all_bodies(store: &Store) -> String {
-    let mut out = store.summary_json().render();
-    for a in store.ases() {
-        out.push_str(&a.json().render());
+    let mut out = render::summary_json(store).render();
+    out.push_str(&render::status_json(store, 2, Json::Null).render());
+    for record in &store.snapshot().ases {
+        out.push_str(&render::as_json(record).render());
     }
-    for r in store.addrs() {
-        out.push_str(&r.json().render());
+    for entry in &store.snapshot().addrs {
+        out.push_str(&render::addr_json(store, entry).render());
     }
     out
 }
@@ -40,7 +40,7 @@ fn all_bodies(store: &Store) -> String {
 fn parallel_build_matches_ledger_roundtrip() {
     let config = PipelineConfig::quick();
     let dataset = Dataset::build(config);
-    let fresh = serve_store::build(&dataset);
+    let snapshot = snapshot(&dataset);
 
     let dir = scratch_dir("determinism");
     let ledger = Ledger::open(&dir).expect("open ledger");
@@ -48,16 +48,51 @@ fn parallel_build_matches_ledger_roundtrip() {
     let run = ledger.load(receipt.serial).expect("load committed run");
     assert_eq!(run.meta.payload_digest, receipt.payload_digest);
 
-    // The snapshot is lossless for everything the server renders: a
-    // store rebuilt from the loaded snapshot serves byte-identical
-    // bodies to the store flattened straight from the dataset.
-    let reloaded = store_from_snapshot(&run.snapshot);
+    // The snapshot round-trips exactly…
+    assert_eq!(snapshot, run.snapshot);
+    // …so the store over the loaded run serves byte-identical bodies to
+    // the store over the snapshot flattened in memory.
+    let fresh = Store::from(snapshot);
+    let reloaded = Store::from(run.snapshot);
     assert_eq!(all_bodies(&fresh), all_bodies(&reloaded));
 
-    // And the snapshot itself round-trips exactly.
-    assert_eq!(snapshot_from_store(&fresh), run.snapshot);
-
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The flattening keeps the dataset's shape: one AS row per result,
+/// one address row per discovered address, the run-wide counts, and a
+/// full provenance chain on every address a detected segment covers.
+#[test]
+fn snapshot_mirrors_the_dataset_shape() {
+    let dataset = Dataset::build(PipelineConfig::quick());
+    let store = Store::from(snapshot(&dataset));
+    let totals = store.totals();
+    assert_eq!(store.snapshot().ases.len(), dataset.results.len());
+    assert_eq!(totals.raw_traces, dataset.raw_trace_count as u64);
+    assert_eq!(totals.vantage_points, dataset.per_vp_discovered.len() as u64);
+    let addresses: std::collections::HashSet<_> =
+        dataset.results.iter().flat_map(|r| r.discovered.iter().copied()).collect();
+    assert_eq!(totals.addresses, addresses.len() as u64);
+    for record in &store.snapshot().ases {
+        assert_eq!(store.by_asn(record.asn).expect("asn lookup").id, record.id);
+    }
+    assert!(totals.flags.total() > 0, "the quick dataset detects something");
+    for result in &dataset.results {
+        for (trace, segments) in result.detections() {
+            for segment in segments {
+                for addr in trace.hops[segment.start..=segment.end].iter().filter_map(|h| h.addr) {
+                    let entry = store.addr(addr).expect("covered addr has a row");
+                    assert!(
+                        entry
+                            .detections
+                            .iter()
+                            .any(|d| d.provenance.chain.starts_with("trigger_hop=")),
+                        "detection on {addr} lost its chain"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

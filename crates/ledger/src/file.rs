@@ -58,19 +58,35 @@ pub struct RunMeta {
 pub fn encode_file(snapshot: &RunSnapshot, meta: &RunMeta) -> Vec<u8> {
     let payload = encode_payload(snapshot);
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_be_bytes());
-    out.extend_from_slice(&[0, 0]); // checksum placeholder
-    out.extend_from_slice(&meta.serial.to_be_bytes());
-    out.extend_from_slice(&meta.committed_unix.to_be_bytes());
-    out.extend_from_slice(&meta.config_digest.to_be_bytes());
-    out.extend_from_slice(&meta.catalog_digest.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(&fnv64(&payload).to_be_bytes());
-    let checksum = arest_wire::checksum::checksum(&out[..HEADER_LEN]);
-    out[10..12].copy_from_slice(&checksum.to_be_bytes());
+    out.resize(HEADER_LEN, 0);
     out.extend_from_slice(&payload);
+    stamp_header(&mut out, meta);
     out
+}
+
+/// Writes the header for `meta` over the first [`HEADER_LEN`] bytes
+/// of `file`, whose payload follows them. `payload_len` and
+/// `payload_digest` are computed from that payload, not read from
+/// `meta`, so a commit can re-stamp the same bytes under another
+/// serial without re-encoding the payload.
+pub(crate) fn stamp_header(file: &mut [u8], meta: &RunMeta) {
+    let (header, payload) = file.split_at_mut(HEADER_LEN);
+    let fields = [
+        meta.serial,
+        meta.committed_unix,
+        meta.config_digest,
+        meta.catalog_digest,
+        payload.len() as u64,
+        fnv64(payload),
+    ];
+    header[..8].copy_from_slice(&MAGIC);
+    header[8..10].copy_from_slice(&VERSION.to_be_bytes());
+    header[10..12].fill(0); // checksum placeholder
+    for (slot, value) in header[12..].chunks_exact_mut(8).zip(fields) {
+        slot.copy_from_slice(&value.to_be_bytes());
+    }
+    let checksum = arest_wire::checksum::checksum(header);
+    header[10..12].copy_from_slice(&checksum.to_be_bytes());
 }
 
 fn be_u64(bytes: &[u8]) -> u64 {

@@ -2,12 +2,14 @@
 //! atomically, loaded with full verification.
 //!
 //! A ledger directory holds `run-<serial>.arest` files with strictly
-//! increasing serials. [`Ledger::commit`] assigns the next serial,
-//! writes the encoded snapshot to a dot-prefixed temporary name in
-//! the same directory, and **renames** it into place — on POSIX
-//! filesystems the rename is atomic, so a concurrent reader (the
-//! serving layer's directory watcher) either sees the complete file
-//! or no file, never a half-written one. That rename is the
+//! increasing serials. [`Ledger::commit`] writes the encoded snapshot
+//! to a dot-prefixed temporary unique to the writer, then claims the
+//! next serial by **hard-linking** the temporary to the serial's name.
+//! The link is atomic and never replaces an existing file: a
+//! concurrent reader (the serving layer's directory watcher) sees the
+//! complete file or no file, never a half-written one, and two
+//! writers racing for one serial cannot overwrite each other — the
+//! loser retries with the next serial. That claim is the
 //! zero-downtime refresh protocol's foundation (`DESIGN.md` §13).
 //!
 //! Loading re-verifies everything: the header checksum, the serial
@@ -18,9 +20,11 @@
 use crate::aux::{decode_aux_file, encode_aux_file, AuxRecord};
 use crate::delta::{self, DetectionDelta};
 use crate::error::{LedgerError, LedgerResult};
-use crate::file::{decode_file, decode_header, encode_file, RunMeta, HEADER_LEN};
+use crate::file::{decode_file, decode_header, encode_file, stamp_header, RunMeta, HEADER_LEN};
 use crate::obs::{record_us, METRICS, TRACER};
 use crate::snapshot::RunSnapshot;
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -115,9 +119,12 @@ impl Ledger {
         Ok(self.serials()?.into_iter().next_back())
     }
 
-    /// Commits `snapshot` under the next serial: encode, write to a
-    /// temporary in the same directory, fsync-free atomic rename into
-    /// place.
+    /// Commits `snapshot` under the next free serial: encode, write to
+    /// a temporary unique to this writer, then claim the serial by
+    /// hard-linking the temporary to its `run-<serial>.arest` name.
+    /// A link never replaces an existing file, so a concurrent writer
+    /// that claimed the same serial first makes this one retry with
+    /// the next serial instead of silently overwriting that run.
     pub fn commit(
         &self,
         snapshot: &RunSnapshot,
@@ -125,33 +132,64 @@ impl Ledger {
     ) -> LedgerResult<CommitReceipt> {
         let started = Instant::now();
         let mut span = TRACER.span("ledger.commit");
-        let serial = self.latest()?.map_or(1, |s| s + 1);
-        let meta = RunMeta {
-            serial,
+        let mut meta = RunMeta {
+            serial: self.latest()?.map_or(1, |s| s + 1),
             committed_unix: options.committed_unix,
             config_digest: options.config_digest,
             catalog_digest: options.catalog_digest,
             payload_len: 0,    // stamped by encode_file
             payload_digest: 0, // stamped by encode_file
         };
-        let bytes = encode_file(snapshot, &meta);
-        let payload_digest = decode_header(&bytes, Some(serial))?.payload_digest;
-        let path = self.path_of(serial);
-        let tmp = self.dir.join(format!(".run-{serial}.arest.tmp"));
-        let write = std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(LedgerError::Io);
-        if let Err(e) = write {
+        let mut bytes = encode_file(snapshot, &meta);
+        let payload_digest = decode_header(&bytes, Some(meta.serial))?.payload_digest;
+        let (tmp, mut file) = self.create_temp()?;
+        let claimed = file.write_all(&bytes).and_then(|()| loop {
+            match std::fs::hard_link(&tmp, self.path_of(meta.serial)) {
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+                    // Another writer holds this serial. The temporary is
+                    // still private, so re-stamp its header and retry.
+                    meta.serial += 1;
+                    stamp_header(&mut bytes, &meta);
+                    file.seek(SeekFrom::Start(0))?;
+                    file.write_all(&bytes[..HEADER_LEN])?;
+                }
+                claim => break claim,
+            }
+        });
+        drop(file);
+        let _ = std::fs::remove_file(&tmp);
+        if let Err(e) = claimed {
             METRICS.errors.inc();
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
+            return Err(LedgerError::Io(e));
         }
         METRICS.commits.inc();
         METRICS.snapshot_bytes.record(bytes.len() as u64);
         record_us(&METRICS.commit_us, started.elapsed());
-        span.record("serial", serial);
+        span.record("serial", meta.serial);
         span.record("bytes", bytes.len() as u64);
-        Ok(CommitReceipt { serial, payload_digest, bytes: bytes.len() as u64, path })
+        let path = self.path_of(meta.serial);
+        Ok(CommitReceipt { serial: meta.serial, payload_digest, bytes: bytes.len() as u64, path })
+    }
+
+    /// Creates a temporary file in the ledger directory that no other
+    /// writer holds: `create_new` refuses an existing name, so
+    /// concurrent writers, threads or processes, each get their own.
+    /// The leading dot and `.tmp` suffix keep it out of
+    /// [`Self::serials`].
+    fn create_temp(&self) -> LedgerResult<(PathBuf, File)> {
+        let pid = std::process::id();
+        let mut n = 0u64;
+        loop {
+            let path = self.dir.join(format!(".commit-{pid}-{n}.tmp"));
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Ok(file) => return Ok((path, file)),
+                Err(e) if e.kind() == ErrorKind::AlreadyExists => n += 1,
+                Err(e) => {
+                    METRICS.errors.inc();
+                    return Err(LedgerError::Io(e));
+                }
+            }
+        }
     }
 
     /// The path a serial's carry-forward sidecar lives at.
@@ -173,14 +211,13 @@ impl Ledger {
         let receipt = self.commit(snapshot, options)?;
         let bytes = encode_aux_file(aux, receipt.serial);
         let path = self.aux_path(receipt.serial);
-        let tmp = self.dir.join(format!(".run-{}.arest.aux.tmp", receipt.serial));
-        let write = std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .map_err(LedgerError::Io);
-        if let Err(e) = write {
+        let (tmp, mut file) = self.create_temp()?;
+        let write = file.write_all(&bytes);
+        drop(file);
+        if let Err(e) = write.and_then(|()| std::fs::rename(&tmp, &path)) {
             METRICS.errors.inc();
             let _ = std::fs::remove_file(&tmp);
-            return Err(e);
+            return Err(LedgerError::Io(e));
         }
         Ok(receipt)
     }

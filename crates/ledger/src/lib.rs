@@ -11,7 +11,7 @@
 //!
 //! * [`RunSnapshot`] — per-AS summaries, per-address evidence, every
 //!   detection with full provenance, campaign totals;
-//! * [`Ledger`] — the directory store: `commit` (atomic rename),
+//! * [`Ledger`] — the directory store: `commit` (atomic, never overwrites),
 //!   `load` (fully verified), `meta` (header only), `diff`;
 //! * [`DetectionDelta`] — announced / withdrawn / changed detections
 //!   keyed by (ASN, address, segment), with per-AS rollups.

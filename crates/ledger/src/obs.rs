@@ -25,7 +25,7 @@ pub(crate) struct Metrics {
     /// `ledger.snapshot.bytes` — committed file sizes (header +
     /// payload).
     pub(crate) snapshot_bytes: Histogram,
-    /// `ledger.commit.us` — encode + write + rename latency.
+    /// `ledger.commit.us` — encode + write + serial-claim latency.
     pub(crate) commit_us: Histogram,
     /// `ledger.load.us` — read + verify + decode latency.
     pub(crate) load_us: Histogram,

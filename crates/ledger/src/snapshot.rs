@@ -1,9 +1,11 @@
 //! The snapshot payload: what one committed campaign looks like on
 //! disk, and the interned binary encoding that keeps it compact.
 //!
-//! The types mirror the serving layer's store rows (`arest-serve`
-//! bridges between the two) but live here as plain owned data so the
-//! ledger sits *below* the daemon in the crate graph: per-AS
+//! [`RunSnapshot`] is the workspace's one run record: the pipeline
+//! flattens a campaign into it once (`arest_experiments::ledger_io`),
+//! the ledger commits and loads it, and `arest-serve` renders every
+//! JSON body straight from its rows. The types are plain owned data so
+//! the ledger sits *below* the daemon in the crate graph: per-AS
 //! summaries, per-address evidence, every detection with its full
 //! provenance chain, and the campaign totals.
 //!
@@ -62,6 +64,16 @@ impl FlagTotals {
     }
 }
 
+impl std::ops::AddAssign for FlagTotals {
+    fn add_assign(&mut self, other: FlagTotals) {
+        self.cvr += other.cvr;
+        self.co += other.co;
+        self.lsvr += other.lsvr;
+        self.lvr += other.lvr;
+        self.lso += other.lso;
+    }
+}
+
 /// One AS's campaign summary, as committed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsRecord {
@@ -87,6 +99,14 @@ pub struct AsRecord {
     pub fingerprinted: u64,
     /// Detection counts by flag.
     pub flags: FlagTotals,
+}
+
+impl AsRecord {
+    /// Whether any strong flag fired — the paper's SR-deployed verdict.
+    #[must_use]
+    pub fn sr_deployed(&self) -> bool {
+        self.flags.strong() > 0
+    }
 }
 
 /// The provenance chain of one detection.
@@ -178,6 +198,35 @@ pub struct RunTotals {
     pub flags: FlagTotals,
 }
 
+impl RunTotals {
+    /// Derives the campaign totals from the rows they summarise. The
+    /// two figures the rows cannot carry come from the caller: traces
+    /// collected before restriction, and the vantage points heard.
+    #[must_use]
+    pub fn from_rows(
+        ases: &[AsRecord],
+        addrs: &[AddrEntry],
+        raw_traces: u64,
+        vantage_points: u64,
+    ) -> RunTotals {
+        let mut flags = FlagTotals::default();
+        for record in ases {
+            flags += record.flags;
+        }
+        RunTotals {
+            ases: ases.len() as u64,
+            analyzed: ases.iter().filter(|a| a.analyzed).count() as u64,
+            sr_deployed: ases.iter().filter(|a| a.sr_deployed()).count() as u64,
+            addresses: addrs.len() as u64,
+            fingerprinted: addrs.iter().filter(|a| a.fingerprint.is_some()).count() as u64,
+            raw_traces,
+            intra_as_traces: ases.iter().map(|a| a.traces).sum(),
+            vantage_points,
+            flags,
+        }
+    }
+}
+
 /// One completed campaign, ready to commit or freshly loaded.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunSnapshot {
@@ -187,15 +236,6 @@ pub struct RunSnapshot {
     pub addrs: Vec<AddrEntry>,
     /// Campaign totals.
     pub totals: RunTotals,
-}
-
-impl RunSnapshot {
-    /// Flattens every distinct detection in the snapshot, keyed the
-    /// way the delta computation needs them.
-    #[must_use]
-    pub fn detection_count(&self) -> usize {
-        self.addrs.iter().map(|a| a.detections.len()).sum()
-    }
 }
 
 /// First-use-order string interner.
@@ -612,6 +652,13 @@ pub(crate) mod tests {
         let needle = b"trigger_hop=2 run_len=3";
         let hits = bytes.windows(needle.len()).filter(|w| *w == needle.as_slice()).count();
         assert_eq!(hits, 1, "provenance chain must be interned");
+    }
+
+    #[test]
+    fn totals_derive_from_the_rows() {
+        let snapshot = sample();
+        let totals = RunTotals::from_rows(&snapshot.ases, &snapshot.addrs, 40, 4);
+        assert_eq!(totals, snapshot.totals);
     }
 
     #[test]

@@ -12,10 +12,12 @@ use arest_ledger::file::{decode_file, decode_header, encode_file};
 use arest_ledger::snapshot::{
     AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
 };
-use arest_ledger::{CommitOptions, Ledger, LedgerError, RunMeta, HEADER_LEN};
+use arest_ledger::{AuxRecord, CommitOptions, Ledger, LedgerError, RunMeta, HEADER_LEN};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 /// SplitMix64: the deterministic stream behind the generated
 /// snapshots.
@@ -217,6 +219,68 @@ fn serial_regression_via_rename_is_typed() {
     // Serials 1 and 2 still load fine.
     ledger.load(1).expect("serial 1 intact");
     ledger.load(2).expect("serial 2 intact");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Two writers commit into one directory at once. Every `Ok` receipt
+/// must name its own serial, and that serial must still hold the
+/// receipt's run: a writer that lost the race for a serial moves on to
+/// the next one instead of replacing the winner's file.
+#[test]
+fn concurrent_commits_never_overwrite_a_receipted_run() {
+    const WRITERS: u64 = 2;
+    const COMMITS: u64 = 200;
+    let dir = scratch_dir("concurrent");
+    let ledger = Ledger::open(&dir).expect("open");
+    // Every round starts both writers together, so they race for the
+    // same serial on most rounds.
+    let round = Barrier::new(WRITERS as usize);
+    let receipts: Vec<_> = arest_conc::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|writer| {
+                let (ledger, round) = (&ledger, &round);
+                s.spawn(move || {
+                    (0..COMMITS)
+                        .map(|i| {
+                            let tag = writer * 1_000 + i;
+                            let aux = AuxRecord {
+                                base_serial: Some(tag),
+                                carried: Vec::new(),
+                                raw_traces: Vec::new(),
+                                cache: Vec::new(),
+                            };
+                            let snapshot = generated_snapshot(tag);
+                            round.wait();
+                            (
+                                tag,
+                                ledger.commit_with_aux(&snapshot, &CommitOptions::default(), &aux),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers.into_iter().flat_map(|w| w.join().expect("writer")).collect()
+    });
+
+    let (receipts, failed): (Vec<_>, Vec<_>) = receipts.into_iter().partition(|(_, r)| r.is_ok());
+    let receipts: Vec<_> = receipts.into_iter().map(|(tag, r)| (tag, r.expect("ok"))).collect();
+    let serials: HashSet<u64> = receipts.iter().map(|(_, r)| r.serial).collect();
+    assert_eq!(serials.len(), receipts.len(), "two receipts name one serial");
+    for (tag, receipt) in &receipts {
+        let run = ledger.load(receipt.serial).expect("load");
+        assert_eq!(run.meta.payload_digest, receipt.payload_digest, "serial {}", receipt.serial);
+        assert_eq!(run.snapshot, generated_snapshot(*tag), "serial {}", receipt.serial);
+        let aux = ledger.load_aux(receipt.serial).expect("load aux").expect("sidecar");
+        assert_eq!(aux.base_serial, Some(*tag), "sidecar of serial {}", receipt.serial);
+    }
+    assert!(failed.is_empty(), "commits failed: {failed:?}");
+    assert_eq!(ledger.serials().expect("serials").len(), receipts.len());
+    let temps = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .filter(|e| e.as_ref().is_ok_and(|e| e.file_name().to_string_lossy().ends_with(".tmp")))
+        .count();
+    assert_eq!(temps, 0, "commits must not leave temporaries");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 

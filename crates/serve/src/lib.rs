@@ -34,29 +34,34 @@
 //! what lets `docs/API.md` quote example responses verbatim and have a
 //! test (`api_md.rs` in `arest-experiments`) hold them to it.
 //!
-//! The crate knows nothing about campaign types: `arest-experiments`
-//! converts its `Dataset` into the plain [`store::Store`] rows and
-//! hands them over, keeping the dependency arrow pointing the same way
-//! as every other crate here (`serve` sits beside `obs`/`tnt`, not
-//! above the pipeline).
+//! The crate knows nothing about campaign types. It serves the
+//! workspace's one run record, [`arest_ledger::RunSnapshot`]:
+//! `arest-experiments` flattens its `Dataset` into a snapshot once and
+//! hands it over, the ledger watcher moves loaded snapshots in, and
+//! [`render`] draws every body straight from the snapshot's rows. The
+//! dependency arrow points the same way as every other crate here
+//! (`serve` sits beside `obs`/`tnt` and above `ledger`, not above the
+//! pipeline).
 #![warn(missing_docs)]
 
 pub mod dispatch;
 pub mod http;
 pub mod json;
-pub mod ledger_bridge;
 pub mod ledger_watch;
 pub mod load;
 pub mod prom;
+pub mod render;
 pub mod router;
 pub mod server;
 pub mod store;
 pub mod store_cell;
 
+/// The campaign totals a [`Store`] is built with.
+pub use arest_ledger::RunTotals as SummaryInfo;
 pub use dispatch::{DispatchCore, DispatchStats};
 pub use json::Json;
 pub use load::{LoadConfig, LoadReport};
 pub use router::{route, Route, RouteError};
 pub use server::{Server, ShutdownHandle};
-pub use store::{AddrRecord, AsSummary, Detection, FlagCounts, Store, SummaryInfo};
+pub use store::Store;
 pub use store_cell::{LedgerStamp, RunOrigin, StoreCell, StoreVersion};

@@ -20,7 +20,7 @@
 use crate::dispatch::{DispatchCore, DispatchStats};
 use crate::http::{self, ParseError, Parsed, Request, Response};
 use crate::json::Json;
-use crate::ledger_bridge;
+use crate::render;
 use crate::router::{self, Route, RouteError};
 use crate::store::Store;
 use crate::store_cell::{StoreCell, StoreVersion};
@@ -376,14 +376,15 @@ impl<'r> Server<'r> {
         // the watcher swaps a newer serial in, this answer is
         // internally consistent.
         let version = self.cell.load();
+        let store = &*version.store;
         match route {
-            Route::Summary => Response::json(200, version.store.summary_json().render()),
-            Route::As(asn) => match version.store.by_asn(asn) {
-                Some(summary) => Response::json(200, summary.json().render()),
+            Route::Summary => Response::json(200, render::summary_json(store).render()),
+            Route::As(asn) => match store.by_asn(asn) {
+                Some(record) => Response::json(200, render::as_json(record).render()),
                 None => Response::error(404, "AS not in dataset"),
             },
-            Route::Addr(ip) => match version.store.addr(ip) {
-                Some(record) => Response::json(200, record.json().render()),
+            Route::Addr(ip) => match store.addr(ip) {
+                Some(entry) => Response::json(200, render::addr_json(store, entry).render()),
                 None => Response::error(404, "address not in dataset"),
             },
             Route::Runs => self.handle_runs(),
@@ -401,7 +402,7 @@ impl<'r> Server<'r> {
             }
             Route::Status => {
                 let ledger = self.ledger_status_json(&version);
-                Response::json(200, version.store.status_json(self.workers, ledger).render())
+                Response::json(200, render::status_json(store, self.workers, ledger).render())
             }
         }
     }
@@ -420,7 +421,7 @@ impl<'r> Server<'r> {
             .unwrap_or(stamp.serial);
         Json::obj(vec![
             ("serial", Json::U64(stamp.serial)),
-            ("payload_digest", Json::str(ledger_bridge::hex_digest(stamp.payload_digest))),
+            ("payload_digest", Json::str(render::hex_digest(stamp.payload_digest))),
             ("committed_unix", Json::U64(stamp.committed_unix)),
             ("runs_behind_latest", Json::U64(latest.saturating_sub(stamp.serial))),
         ])
@@ -434,7 +435,7 @@ impl<'r> Server<'r> {
             Ok(serials) => {
                 let metas: Vec<_> =
                     serials.into_iter().filter_map(|s| ledger.meta(s).ok()).collect();
-                Response::json(200, ledger_bridge::runs_json(&metas).render())
+                Response::json(200, render::runs_json(&metas).render())
             }
             Err(_) => Response::error(500, "ledger directory unreadable"),
         }
@@ -447,7 +448,7 @@ impl<'r> Server<'r> {
         match ledger.load(serial) {
             Ok(run) => {
                 let aux = ledger.load_aux(serial).ok().flatten();
-                Response::json(200, ledger_bridge::run_json(&run, aux.as_ref()).render())
+                Response::json(200, render::run_json(&run, aux.as_ref()).render())
             }
             Err(LedgerError::UnknownSerial(_)) => Response::error(404, "no such run"),
             Err(_) => Response::error(500, "run failed verification"),
@@ -459,7 +460,7 @@ impl<'r> Server<'r> {
             return Response::error(404, "no ledger attached");
         };
         match ledger.diff(a, b) {
-            Ok(delta) => Response::json(200, ledger_bridge::delta_json(&delta).render()),
+            Ok(delta) => Response::json(200, render::delta_json(&delta).render()),
             Err(LedgerError::UnknownSerial(_)) => Response::error(404, "no such run"),
             Err(_) => Response::error(500, "run failed verification"),
         }
@@ -474,15 +475,15 @@ fn ledger_metrics_tail(version: &StoreVersion) -> String {
         return String::new();
     };
     let serial = stamp.serial;
-    let summary = version.store.summary();
+    let totals = version.store.totals();
     let mut out = String::new();
     let _ = writeln!(out, "# TYPE arest_ledger_serial gauge");
     let _ = writeln!(out, "arest_ledger_serial {serial}");
     for (name, value) in [
-        ("arest_run_detections_total", summary.flags.total()),
-        ("arest_run_detections_strong", summary.flags.strong()),
-        ("arest_run_sr_deployed_ases", summary.sr_deployed),
-        ("arest_run_addresses", summary.addresses),
+        ("arest_run_detections_total", totals.flags.total()),
+        ("arest_run_detections_strong", totals.flags.strong()),
+        ("arest_run_sr_deployed_ases", totals.sr_deployed),
+        ("arest_run_addresses", totals.addresses),
     ] {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name}{{serial=\"{serial}\"}} {value}");

@@ -1,467 +1,111 @@
-//! The read-only deployment store the daemon serves.
+//! The read-only store the daemon serves: one [`RunSnapshot`] plus
+//! the two lookup indices its routes need.
 //!
-//! `arest-serve` cannot depend on `arest-experiments` (the experiment
-//! harness is the crate that *embeds* the server), so the store
-//! defines its own plain-data view of a completed dataset: per-AS
-//! summaries, per-address evidence records carrying the full
-//! provenance chain of every detection that touched the address, and
-//! the dataset-wide totals. `arest_experiments::serve_store` is the
-//! one converter that fills it from a built `Dataset`; tests build
-//! tiny stores by hand.
-//!
-//! All JSON rendering lives here, next to the data it renders, so the
-//! bodies `docs/API.md` quotes have exactly one source of truth.
+//! The snapshot is the workspace's one run record. A campaign is
+//! flattened into it once (`arest_experiments::ledger_io::snapshot`),
+//! the ledger commits and loads the same rows, and the store owns
+//! them as they are — a loaded run is moved in, not copied. The JSON
+//! bodies are rendered from the rows by [`crate::render`].
 
-use crate::json::Json;
-use std::collections::{BTreeMap, HashMap};
+use arest_ledger::{AddrEntry, AsRecord, RunSnapshot, RunTotals};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
-
-/// Detection counts by flag, strongest first (paper order).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlagCounts {
-    /// Consecutive & Vendor Range (★5).
-    pub cvr: u64,
-    /// Consecutive Only (★4).
-    pub co: u64,
-    /// Label Stack & Vendor Range (★4).
-    pub lsvr: u64,
-    /// Label & Vendor Range (★3).
-    pub lvr: u64,
-    /// Label Stack Only (★1).
-    pub lso: u64,
-}
-
-impl FlagCounts {
-    /// Adds one detection by its flag name (`CVR`/`CO`/`LSVR`/`LVR`/`LSO`).
-    pub fn add(&mut self, flag: &str) {
-        match flag {
-            "CVR" => self.cvr += 1,
-            "CO" => self.co += 1,
-            "LSVR" => self.lsvr += 1,
-            "LVR" => self.lvr += 1,
-            _ => self.lso += 1,
-        }
-    }
-
-    /// All detections.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.cvr + self.co + self.lsvr + self.lvr + self.lso
-    }
-
-    /// Detections on strong flags (everything but LSO, §6.3).
-    #[must_use]
-    pub fn strong(&self) -> u64 {
-        self.cvr + self.co + self.lsvr + self.lvr
-    }
-
-    /// The `by_flag` JSON object.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("CVR", Json::U64(self.cvr)),
-            ("CO", Json::U64(self.co)),
-            ("LSVR", Json::U64(self.lsvr)),
-            ("LVR", Json::U64(self.lvr)),
-            ("LSO", Json::U64(self.lso)),
-        ])
-    }
-
-    /// The full `detections` JSON object (totals plus the breakdown).
-    #[must_use]
-    pub fn detections_json(&self) -> Json {
-        Json::obj(vec![
-            ("total", Json::U64(self.total())),
-            ("strong", Json::U64(self.strong())),
-            ("by_flag", self.json()),
-        ])
-    }
-}
-
-/// One AS's deployment summary (the `GET /api/as/{asn}` body).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsSummary {
-    /// The paper's catalog identifier (`#1`–`#60`).
-    pub id: u8,
-    /// The autonomous system number.
-    pub asn: u32,
-    /// Operator name.
-    pub name: String,
-    /// Hierarchy class (`Stub`/`Content`/`Transit`/`Tier-1`).
-    pub astype: String,
-    /// External SR confirmation source (`cisco`/`survey`/`none`).
-    pub confirmation: String,
-    /// Whether the AS cleared the ≥ 100-address analysis threshold
-    /// (§5) in *this* dataset.
-    pub analyzed: bool,
-    /// Anaximander targets probed per vantage point.
-    pub targets_probed: u64,
-    /// Intra-AS traces kept after restriction.
-    pub traces: u64,
-    /// Distinct addresses annotated to the AS.
-    pub addresses: u64,
-    /// Addresses with a vendor fingerprint.
-    pub fingerprinted: u64,
-    /// Detection counts by flag.
-    pub flags: FlagCounts,
-}
-
-impl AsSummary {
-    /// Whether any strong flag fired — the paper's SR-deployed verdict.
-    #[must_use]
-    pub fn sr_deployed(&self) -> bool {
-        self.flags.strong() > 0
-    }
-
-    /// The `GET /api/as/{asn}` response body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("id", Json::U64(u64::from(self.id))),
-            ("asn", Json::U64(u64::from(self.asn))),
-            ("name", Json::str(&self.name)),
-            ("type", Json::str(&self.astype)),
-            ("confirmation", Json::str(&self.confirmation)),
-            ("analyzed", Json::Bool(self.analyzed)),
-            ("sr_deployed", Json::Bool(self.sr_deployed())),
-            ("targets_probed", Json::U64(self.targets_probed)),
-            ("traces", Json::U64(self.traces)),
-            ("addresses", Json::U64(self.addresses)),
-            ("fingerprinted_addresses", Json::U64(self.fingerprinted)),
-            ("detections", self.flags.detections_json()),
-        ])
-    }
-}
-
-/// The provenance chain of one detection, flattened for serving.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProvenanceInfo {
-    /// Index of the hop that triggered the detection.
-    pub trigger_hop: u64,
-    /// Length of the matched label run.
-    pub run_len: u64,
-    /// Distinct replying addresses across the segment.
-    pub distinct_addrs: u64,
-    /// Label-stack entries the detector examined.
-    pub lses_consulted: u64,
-    /// Stack depth after entropy-pair exclusion.
-    pub effective_depth: u64,
-    /// The consulted fingerprint verdict, when any.
-    pub fingerprint: Option<String>,
-    /// Whether the label mapped into the vendor's SR range.
-    pub label_in_vendor_range: bool,
-    /// Whether decimal-suffix matching was needed.
-    pub suffix_matched: bool,
-    /// The one-line `key=value` chain (`Provenance::chain()`).
-    pub chain: String,
-}
-
-impl ProvenanceInfo {
-    /// The nested `provenance` JSON object.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("trigger_hop", Json::U64(self.trigger_hop)),
-            ("run_len", Json::U64(self.run_len)),
-            ("distinct_addrs", Json::U64(self.distinct_addrs)),
-            ("lses_consulted", Json::U64(self.lses_consulted)),
-            ("effective_depth", Json::U64(self.effective_depth)),
-            ("fingerprint", Json::opt_str(self.fingerprint.as_deref())),
-            ("label_in_vendor_range", Json::Bool(self.label_in_vendor_range)),
-            ("suffix_matched", Json::Bool(self.suffix_matched)),
-            ("chain", Json::str(&self.chain)),
-        ])
-    }
-}
-
-/// One detection touching an address.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Detection {
-    /// The ASN the trace was restricted to.
-    pub asn: u32,
-    /// Vantage point that ran the trace.
-    pub vp: String,
-    /// Probe destination of the trace.
-    pub dst: String,
-    /// The flag that fired (`CVR`/`CO`/`LSVR`/`LVR`/`LSO`).
-    pub flag: String,
-    /// Signal strength in stars (§4).
-    pub stars: u8,
-    /// First hop index of the segment.
-    pub start: u64,
-    /// Last hop index (inclusive).
-    pub end: u64,
-    /// The active label that triggered the flag.
-    pub label: u32,
-    /// Whether suffix-based matching was needed.
-    pub suffix_based: bool,
-    /// The evidence chain.
-    pub provenance: ProvenanceInfo,
-}
-
-impl Detection {
-    /// One element of the `detections` array.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("asn", Json::U64(u64::from(self.asn))),
-            ("vp", Json::str(&self.vp)),
-            ("dst", Json::str(&self.dst)),
-            ("flag", Json::str(&self.flag)),
-            ("stars", Json::U64(u64::from(self.stars))),
-            (
-                "hops",
-                Json::obj(vec![("start", Json::U64(self.start)), ("end", Json::U64(self.end))]),
-            ),
-            ("label", Json::U64(u64::from(self.label))),
-            ("suffix_based", Json::Bool(self.suffix_based)),
-            ("provenance", self.provenance.json()),
-        ])
-    }
-}
-
-/// Everything known about one address (the `GET /api/addr/{ip}` body).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AddrRecord {
-    /// The address.
-    pub addr: Ipv4Addr,
-    /// The AS it was annotated to.
-    pub asn: u32,
-    /// That AS's operator name.
-    pub as_name: String,
-    /// Vendor fingerprint, when one was obtained.
-    pub fingerprint: Option<String>,
-    /// How the fingerprint was obtained (`snmp`/`ttl`).
-    pub fingerprint_source: Option<String>,
-    /// Every detection whose segment covers this address.
-    pub detections: Vec<Detection>,
-}
-
-impl AddrRecord {
-    /// The `GET /api/addr/{ip}` response body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("addr", Json::str(self.addr.to_string())),
-            ("asn", Json::U64(u64::from(self.asn))),
-            ("as_name", Json::str(&self.as_name)),
-            ("fingerprint", Json::opt_str(self.fingerprint.as_deref())),
-            ("fingerprint_source", Json::opt_str(self.fingerprint_source.as_deref())),
-            ("detections", Json::Arr(self.detections.iter().map(Detection::json).collect())),
-        ])
-    }
-}
-
-/// Dataset-wide totals (the `GET /api/summary` body).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SummaryInfo {
-    /// ASes in the catalog.
-    pub ases: u64,
-    /// ASes clearing the analysis threshold.
-    pub analyzed: u64,
-    /// ASes with at least one strong detection.
-    pub sr_deployed: u64,
-    /// Distinct addresses across all ASes.
-    pub addresses: u64,
-    /// Addresses with a vendor fingerprint.
-    pub fingerprinted: u64,
-    /// Traces collected before restriction.
-    pub raw_traces: u64,
-    /// Intra-AS traces kept after restriction.
-    pub intra_as_traces: u64,
-    /// Vantage points that contributed traces.
-    pub vantage_points: u64,
-    /// Detection counts by flag, dataset-wide.
-    pub flags: FlagCounts,
-}
-
-impl SummaryInfo {
-    /// The `GET /api/summary` response body.
-    #[must_use]
-    pub fn json(&self) -> Json {
-        Json::obj(vec![
-            ("ases", Json::U64(self.ases)),
-            ("analyzed", Json::U64(self.analyzed)),
-            ("sr_deployed", Json::U64(self.sr_deployed)),
-            ("addresses", Json::U64(self.addresses)),
-            ("fingerprinted_addresses", Json::U64(self.fingerprinted)),
-            ("raw_traces", Json::U64(self.raw_traces)),
-            ("intra_as_traces", Json::U64(self.intra_as_traces)),
-            ("vantage_points", Json::U64(self.vantage_points)),
-            ("detections", self.flags.detections_json()),
-        ])
-    }
-}
 
 /// The complete read-only store: what [`crate::Server`] answers from.
 #[derive(Debug, Clone)]
 pub struct Store {
-    ases: Vec<AsSummary>,
+    snapshot: RunSnapshot,
     by_asn: HashMap<u32, usize>,
-    addrs: BTreeMap<Ipv4Addr, AddrRecord>,
-    summary: SummaryInfo,
+    by_addr: HashMap<Ipv4Addr, usize>,
 }
 
 impl Store {
-    /// Builds a store. `ases` keeps its order (catalog order, when
-    /// converted from a dataset); when the same ASN appears twice
-    /// (replicated catalogs), the first entry wins ASN lookups.
+    /// Builds a store from the rows of a snapshot, moving them in.
     #[must_use]
-    pub fn new(ases: Vec<AsSummary>, addrs: Vec<AddrRecord>, summary: SummaryInfo) -> Store {
-        let mut by_asn = HashMap::new();
-        for (index, summary) in ases.iter().enumerate() {
-            by_asn.entry(summary.asn).or_insert(index);
-        }
-        let addrs = addrs.into_iter().map(|record| (record.addr, record)).collect();
-        Store { ases, by_asn, addrs, summary }
+    pub fn new(ases: Vec<AsRecord>, addrs: Vec<AddrEntry>, totals: RunTotals) -> Store {
+        Store::from(RunSnapshot { ases, addrs, totals })
     }
 
-    /// All AS summaries, in insertion (catalog) order.
+    /// The served snapshot, rows in stored order.
     #[must_use]
-    pub fn ases(&self) -> &[AsSummary] {
-        &self.ases
+    pub fn snapshot(&self) -> &RunSnapshot {
+        &self.snapshot
+    }
+
+    /// The campaign totals.
+    #[must_use]
+    pub fn totals(&self) -> &RunTotals {
+        &self.snapshot.totals
     }
 
     /// Looks an AS up by ASN.
     #[must_use]
-    pub fn by_asn(&self, asn: u32) -> Option<&AsSummary> {
-        self.by_asn.get(&asn).map(|&index| &self.ases[index])
+    pub fn by_asn(&self, asn: u32) -> Option<&AsRecord> {
+        self.by_asn.get(&asn).map(|&row| &self.snapshot.ases[row])
     }
 
-    /// Looks an address record up.
+    /// Looks an address up.
     #[must_use]
-    pub fn addr(&self, ip: Ipv4Addr) -> Option<&AddrRecord> {
-        self.addrs.get(&ip)
+    pub fn addr(&self, ip: Ipv4Addr) -> Option<&AddrEntry> {
+        self.by_addr.get(&ip).map(|&row| &self.snapshot.addrs[row])
     }
 
-    /// All address records, in address order. The bench harness and
-    /// the `docs/API.md` generator use this to pick real addresses.
-    pub fn addrs(&self) -> impl Iterator<Item = &AddrRecord> {
-        self.addrs.values()
-    }
-
-    /// The dataset-wide totals.
+    /// The operator name of `asn`, or `"unknown"` for an ASN no AS row
+    /// carries.
     #[must_use]
-    pub fn summary(&self) -> &SummaryInfo {
-        &self.summary
+    pub fn as_name(&self, asn: u32) -> &str {
+        self.by_asn(asn).map_or("unknown", |record| &record.name)
     }
+}
 
-    /// The `GET /api/summary` response body: the campaign totals plus
-    /// a `per_as` rollup covering **every** AS in the served catalog —
-    /// the quiet ones included, with zeroed counters — so the array's
-    /// length always matches the catalog and a consumer can tell "not
-    /// deployed" from "not measured".
-    #[must_use]
-    pub fn summary_json(&self) -> Json {
-        let per_as = self
-            .ases
-            .iter()
-            .map(|a| {
-                Json::obj(vec![
-                    ("asn", Json::U64(u64::from(a.asn))),
-                    ("name", Json::str(&a.name)),
-                    ("analyzed", Json::Bool(a.analyzed)),
-                    ("sr_deployed", Json::Bool(a.sr_deployed())),
-                    ("detections", Json::U64(a.flags.total())),
-                    ("strong", Json::U64(a.flags.strong())),
-                ])
-            })
-            .collect();
-        let Json::Obj(mut fields) = self.summary.json() else {
-            unreachable!("SummaryInfo::json renders an object")
-        };
-        fields.push(("per_as".to_string(), Json::Arr(per_as)));
-        Json::Obj(fields)
-    }
-
-    /// The `GET /status` response body: static dataset facts plus the
-    /// serving configuration and the ledger provenance (`Json::Null`
-    /// when the server runs on a directly built dataset). Deliberately
-    /// free of clocks and live counters, so the documented example
-    /// stays byte-stable.
-    #[must_use]
-    pub fn status_json(&self, workers: usize, ledger: Json) -> Json {
-        Json::obj(vec![
-            ("service", Json::str("arest-serve")),
-            ("status", Json::str("serving")),
-            ("workers", Json::from(workers)),
-            ("ledger", ledger),
-            (
-                "endpoints",
-                Json::Arr(
-                    [
-                        "/api/summary",
-                        "/api/as/{asn}",
-                        "/api/addr/{ip}",
-                        "/api/runs",
-                        "/api/runs/{serial}",
-                        "/api/diff/{a}/{b}",
-                        "/metrics",
-                        "/status",
-                    ]
-                    .iter()
-                    .map(|s| Json::str(*s))
-                    .collect(),
-                ),
-            ),
-            (
-                "dataset",
-                Json::obj(vec![
-                    ("ases", Json::U64(self.summary.ases)),
-                    ("analyzed", Json::U64(self.summary.analyzed)),
-                    ("addresses", Json::U64(self.summary.addresses)),
-                    ("raw_traces", Json::U64(self.summary.raw_traces)),
-                    ("vantage_points", Json::U64(self.summary.vantage_points)),
-                ]),
-            ),
-        ])
+impl From<RunSnapshot> for Store {
+    /// Indexes `snapshot`. When the same ASN appears twice (replicated
+    /// catalogs), the first row wins ASN lookups; addresses are unique
+    /// in every snapshot the pipeline writes, and on a duplicate the
+    /// later row wins.
+    fn from(snapshot: RunSnapshot) -> Store {
+        let mut by_asn = HashMap::with_capacity(snapshot.ases.len());
+        for (row, record) in snapshot.ases.iter().enumerate() {
+            by_asn.entry(record.asn).or_insert(row);
+        }
+        let by_addr =
+            snapshot.addrs.iter().enumerate().map(|(row, entry)| (entry.addr, row)).collect();
+        Store { snapshot, by_asn, by_addr }
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use arest_ledger::{DetectionRecord, FlagTotals, ProvenanceRecord};
 
     /// A two-AS, one-address store the unit tests share.
     pub(crate) fn tiny() -> Store {
-        let mut flags = FlagCounts::default();
-        flags.add("CVR");
-        flags.add("LSO");
-        let ases = vec![
-            AsSummary {
-                id: 1,
-                asn: 64512,
-                name: "Test Net".to_string(),
-                astype: "Stub".to_string(),
-                confirmation: "none".to_string(),
-                analyzed: true,
+        let flags = FlagTotals { cvr: 1, lso: 1, ..FlagTotals::default() };
+        let as_record =
+            |id: u8, asn: u32, name: &str, analyzed: bool, flags: FlagTotals| AsRecord {
+                id,
+                asn,
+                name: name.to_string(),
+                astype: if analyzed { "Stub" } else { "Transit" }.to_string(),
+                confirmation: if analyzed { "none" } else { "survey" }.to_string(),
+                analyzed,
                 targets_probed: 8,
-                traces: 5,
-                addresses: 3,
-                fingerprinted: 1,
+                traces: if analyzed { 5 } else { 0 },
+                addresses: if analyzed { 3 } else { 0 },
+                fingerprinted: u64::from(analyzed),
                 flags,
-            },
-            AsSummary {
-                id: 2,
-                asn: 64513,
-                name: "Quiet Net".to_string(),
-                astype: "Transit".to_string(),
-                confirmation: "survey".to_string(),
-                analyzed: false,
-                targets_probed: 8,
-                traces: 0,
-                addresses: 0,
-                fingerprinted: 0,
-                flags: FlagCounts::default(),
-            },
+            };
+        let ases = vec![
+            as_record(1, 64512, "Test Net", true, flags),
+            as_record(2, 64513, "Quiet Net", false, FlagTotals::default()),
         ];
-        let addr = AddrRecord {
+        let addr = AddrEntry {
             addr: Ipv4Addr::new(10, 0, 0, 1),
             asn: 64512,
-            as_name: "Test Net".to_string(),
             fingerprint: Some("Cisco".to_string()),
             fingerprint_source: Some("snmp".to_string()),
-            detections: vec![Detection {
+            detections: vec![DetectionRecord {
                 asn: 64512,
                 vp: "vp00".to_string(),
                 dst: "10.0.0.9".to_string(),
@@ -471,7 +115,7 @@ pub(crate) mod tests {
                 end: 3,
                 label: 16001,
                 suffix_based: false,
-                provenance: ProvenanceInfo {
+                provenance: ProvenanceRecord {
                     trigger_hop: 1,
                     run_len: 3,
                     distinct_addrs: 3,
@@ -484,7 +128,7 @@ pub(crate) mod tests {
                 },
             }],
         };
-        let summary = SummaryInfo {
+        let totals = RunTotals {
             ases: 2,
             analyzed: 1,
             sr_deployed: 1,
@@ -495,7 +139,7 @@ pub(crate) mod tests {
             vantage_points: 4,
             flags,
         };
-        Store::new(ases, vec![addr], summary)
+        Store::new(ases, vec![addr], totals)
     }
 
     #[test]
@@ -510,82 +154,33 @@ pub(crate) mod tests {
     #[test]
     fn flag_counts_aggregate_and_classify() {
         let store = tiny();
-        let summary = store.by_asn(64512).unwrap();
-        assert_eq!(summary.flags.total(), 2);
-        assert_eq!(summary.flags.strong(), 1, "LSO is weak");
-        assert!(summary.sr_deployed());
+        let record = store.by_asn(64512).unwrap();
+        assert_eq!(record.flags.total(), 2);
+        assert_eq!(record.flags.strong(), 1, "LSO is weak");
+        assert!(record.sr_deployed());
         assert!(!store.by_asn(64513).unwrap().sr_deployed());
     }
 
     #[test]
-    fn as_json_carries_the_documented_keys_in_order() {
-        let store = tiny();
-        let body = store.by_asn(64512).unwrap().json().render();
-        let keys: Vec<usize> = [
-            "\"id\"",
-            "\"asn\"",
-            "\"name\"",
-            "\"type\"",
-            "\"confirmation\"",
-            "\"analyzed\"",
-            "\"sr_deployed\"",
-            "\"targets_probed\"",
-            "\"traces\"",
-            "\"addresses\"",
-            "\"fingerprinted_addresses\"",
-            "\"detections\"",
-        ]
-        .iter()
-        .map(|k| body.find(k).unwrap_or_else(|| panic!("missing key {k}")))
-        .collect();
-        assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys render in documented order");
-    }
-
-    #[test]
-    fn addr_json_nests_the_full_provenance_chain() {
-        let store = tiny();
-        let body = store.addr(Ipv4Addr::new(10, 0, 0, 1)).unwrap().json().render();
-        for needle in
-            ["\"provenance\"", "\"trigger_hop\"", "\"chain\"", "\"stars\": 5", "\"flag\": \"CVR\""]
-        {
-            assert!(body.contains(needle), "missing {needle} in\n{body}");
-        }
-    }
-
-    #[test]
-    fn status_json_is_clock_free() {
-        let store = tiny();
-        let body = store.status_json(2, Json::Null).render();
-        assert!(body.contains("\"workers\": 2"));
-        assert!(body.contains("\"/api/addr/{ip}\""));
-        assert!(body.contains("\"/api/diff/{a}/{b}\""));
-        assert!(body.contains("\"ledger\": null"));
-        assert!(!body.contains("uptime"), "status must stay byte-stable across runs");
-    }
-
-    #[test]
-    fn summary_per_as_covers_quiet_ases_with_zeroed_counters() {
-        let store = tiny();
-        let body = store.summary_json().render();
-        assert!(body.contains("\"per_as\""));
-        // Both catalog ASes appear — the quiet one too, with zeros —
-        // so the rollup length matches the catalog.
-        assert!(body.contains("\"Test Net\""));
-        assert!(body.contains("\"Quiet Net\""));
-        let hits = body.matches("\"sr_deployed\": false").count();
-        assert_eq!(hits, 1, "the quiet AS rolls up as not deployed");
-        assert_eq!(body.matches("\"asn\":").count(), store.ases().len());
+    fn unknown_asns_get_a_placeholder_name() {
+        let mut snapshot = tiny().snapshot().clone();
+        snapshot.addrs[0].asn = 65_000;
+        let store = Store::from(snapshot);
+        let entry = store.addr(Ipv4Addr::new(10, 0, 0, 1)).unwrap();
+        assert_eq!(store.as_name(entry.asn), "unknown");
+        let body = crate::render::addr_json(&store, entry).render();
+        assert!(body.contains("\"as_name\": \"unknown\""), "{body}");
     }
 
     #[test]
     fn duplicate_asns_resolve_to_the_first_entry() {
-        let store = tiny();
-        let mut ases = store.ases().to_vec();
-        let mut duplicate = ases[1].clone();
+        let mut snapshot = tiny().snapshot().clone();
+        let mut duplicate = snapshot.ases[1].clone();
         duplicate.asn = 64512;
         duplicate.name = "Replica".to_string();
-        ases.push(duplicate);
-        let rebuilt = Store::new(ases, Vec::new(), SummaryInfo::default());
+        snapshot.ases.push(duplicate);
+        let rebuilt = Store::new(snapshot.ases, Vec::new(), RunTotals::default());
         assert_eq!(rebuilt.by_asn(64512).unwrap().name, "Test Net");
+        assert_eq!(rebuilt.as_name(64512), "Test Net");
     }
 }

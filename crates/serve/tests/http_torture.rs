@@ -6,20 +6,21 @@
 //! runs it on an `arest_conc::thread::scope` thread, so the whole
 //! suite parallelizes without port clashes.
 
+use arest_ledger::{
+    AddrEntry, AsRecord, DetectionRecord, FlagTotals, ProvenanceRecord, RunSnapshot, RunTotals,
+};
 use arest_serve::load::one_shot;
-use arest_serve::store::{AddrRecord, AsSummary, Detection, ProvenanceInfo, SummaryInfo};
-use arest_serve::{FlagCounts, Server, ShutdownHandle, Store};
+use arest_serve::{Server, ShutdownHandle, Store};
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A two-AS, one-address store, built from the public constructors.
+/// A two-AS, one-address store over ledger rows.
 fn fixture() -> Arc<Store> {
-    let mut flags = FlagCounts::default();
-    flags.add("CVR");
+    let flags = FlagTotals { cvr: 1, ..FlagTotals::default() };
     let ases = vec![
-        AsSummary {
+        AsRecord {
             id: 1,
             asn: 64512,
             name: "Test Net".to_string(),
@@ -32,7 +33,7 @@ fn fixture() -> Arc<Store> {
             fingerprinted: 1,
             flags,
         },
-        AsSummary {
+        AsRecord {
             id: 2,
             asn: 64513,
             name: "Quiet Net".to_string(),
@@ -43,16 +44,15 @@ fn fixture() -> Arc<Store> {
             traces: 0,
             addresses: 0,
             fingerprinted: 0,
-            flags: FlagCounts::default(),
+            flags: FlagTotals::default(),
         },
     ];
-    let addr = AddrRecord {
+    let addrs = vec![AddrEntry {
         addr: Ipv4Addr::new(10, 0, 0, 1),
         asn: 64512,
-        as_name: "Test Net".to_string(),
         fingerprint: Some("Cisco".to_string()),
         fingerprint_source: Some("snmp".to_string()),
-        detections: vec![Detection {
+        detections: vec![DetectionRecord {
             asn: 64512,
             vp: "vp00".to_string(),
             dst: "10.0.0.9".to_string(),
@@ -62,7 +62,7 @@ fn fixture() -> Arc<Store> {
             end: 3,
             label: 16001,
             suffix_based: false,
-            provenance: ProvenanceInfo {
+            provenance: ProvenanceRecord {
                 trigger_hop: 1,
                 run_len: 3,
                 distinct_addrs: 3,
@@ -74,8 +74,8 @@ fn fixture() -> Arc<Store> {
                 chain: "trigger_hop=1 run_len=3".to_string(),
             },
         }],
-    };
-    let summary = SummaryInfo {
+    }];
+    let totals = RunTotals {
         ases: 2,
         analyzed: 1,
         sr_deployed: 1,
@@ -86,7 +86,7 @@ fn fixture() -> Arc<Store> {
         vantage_points: 4,
         flags,
     };
-    Arc::new(Store::new(ases, vec![addr], summary))
+    Arc::new(Store::from(RunSnapshot { ases, addrs, totals }))
 }
 
 /// Binds a fresh server, runs it on a scope thread, hands the test

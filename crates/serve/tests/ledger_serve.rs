@@ -9,23 +9,23 @@
 //! this test exercises the same `StoreCell` end-to-end through real
 //! sockets, the watcher thread, and the ledger directory.
 
-use arest_ledger::{CommitOptions, Ledger};
-use arest_serve::ledger_bridge::{snapshot_from_store, store_from_snapshot};
+use arest_ledger::{
+    AddrEntry, AsRecord, CommitOptions, DetectionRecord, FlagTotals, Ledger, ProvenanceRecord,
+    RunSnapshot, RunTotals,
+};
 use arest_serve::ledger_watch::{refresh, watch};
-use arest_serve::store::{AddrRecord, AsSummary, Detection, ProvenanceInfo, SummaryInfo};
-use arest_serve::{FlagCounts, Server, Store};
+use arest_serve::{render, Server, Store};
 use std::io::{Read as _, Write as _};
 use std::net::{Ipv4Addr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A small store whose contents vary with `generation`, so the two
-/// committed snapshots serve visibly different `/api/summary` bodies.
-fn generation_store(generation: u64) -> Store {
-    let mut flags = FlagCounts::default();
-    flags.add("CVR");
-    let mut ases = vec![AsSummary {
+/// A small snapshot whose contents vary with `generation`, so the two
+/// committed runs serve visibly different `/api/summary` bodies.
+fn generation_snapshot(generation: u64) -> RunSnapshot {
+    let flags = FlagTotals { cvr: 1, ..FlagTotals::default() };
+    let mut ases = vec![AsRecord {
         id: 1,
         asn: 64512,
         name: "Test Net".to_string(),
@@ -39,9 +39,7 @@ fn generation_store(generation: u64) -> Store {
         flags,
     }];
     if generation > 1 {
-        let mut late = FlagCounts::default();
-        late.add("LSO");
-        ases.push(AsSummary {
+        ases.push(AsRecord {
             id: 2,
             asn: 64513,
             name: "Late Net".to_string(),
@@ -52,16 +50,15 @@ fn generation_store(generation: u64) -> Store {
             traces: 2,
             addresses: 1,
             fingerprinted: 0,
-            flags: late,
+            flags: FlagTotals { lso: 1, ..FlagTotals::default() },
         });
     }
-    let addr = AddrRecord {
+    let addrs = vec![AddrEntry {
         addr: Ipv4Addr::new(10, 0, 0, 1),
         asn: 64512,
-        as_name: "Test Net".to_string(),
         fingerprint: Some("Cisco".to_string()),
         fingerprint_source: Some("snmp".to_string()),
-        detections: vec![Detection {
+        detections: vec![DetectionRecord {
             asn: 64512,
             vp: "vp00".to_string(),
             dst: "10.0.0.9".to_string(),
@@ -71,7 +68,7 @@ fn generation_store(generation: u64) -> Store {
             end: 3,
             label: 16001,
             suffix_based: false,
-            provenance: ProvenanceInfo {
+            provenance: ProvenanceRecord {
                 trigger_hop: 1,
                 run_len: 3,
                 distinct_addrs: 3,
@@ -83,8 +80,8 @@ fn generation_store(generation: u64) -> Store {
                 chain: "trigger_hop=1 run_len=3".to_string(),
             },
         }],
-    };
-    let summary = SummaryInfo {
+    }];
+    let totals = RunTotals {
         ases: ases.len() as u64,
         analyzed: ases.len() as u64,
         sr_deployed: 1,
@@ -95,17 +92,16 @@ fn generation_store(generation: u64) -> Store {
         vantage_points: 4,
         flags,
     };
-    Store::new(ases, vec![addr], summary)
+    RunSnapshot { ases, addrs, totals }
 }
 
 fn commit_generation(ledger: &Ledger, generation: u64) {
-    let snapshot = snapshot_from_store(&generation_store(generation));
     let options = CommitOptions {
         committed_unix: 1_750_000_000 + generation,
         config_digest: 7,
         catalog_digest: 9,
     };
-    ledger.commit(&snapshot, &options).expect("commit generation");
+    ledger.commit(&generation_snapshot(generation), &options).expect("commit generation");
 }
 
 /// Reads one full response from `stream` into `buf`, returning its
@@ -152,16 +148,22 @@ fn a_serial_committed_mid_session_swaps_in_without_dropping_a_request() {
     commit_generation(&ledger, 1);
 
     // The exact bodies each committed snapshot serves: the serving
-    // store is rebuilt from the loaded snapshot, so expectations go
-    // through the same load path.
+    // store holds the loaded snapshot, so expectations go through the
+    // same load path.
     let body_of = |serial: u64| {
-        store_from_snapshot(&ledger.load(serial).expect("load").snapshot).summary_json().render()
+        let store = Store::from(ledger.load(serial).expect("load").snapshot);
+        render::summary_json(&store).render()
     };
     let body_v1 = body_of(1);
 
     let registry = arest_obs::Registry::new();
-    let mut server = Server::bind("127.0.0.1:0", Arc::new(generation_store(1)), &registry, Some(2))
-        .expect("bind");
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(Store::from(generation_snapshot(1))),
+        &registry,
+        Some(2),
+    )
+    .expect("bind");
     server.attach_ledger(Arc::clone(&ledger));
     let cell = server.store_cell();
     assert_eq!(refresh(&cell, &ledger).expect("initial refresh"), Some(1));

@@ -20,6 +20,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --quiet
 
+echo "==> perfbench smoke tests (a separate workspace over the public crate APIs)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> model-check: exhaustive concurrency invariant suites"
 cargo test -p arest-conc --features model-check --quiet
 cargo test -p crossbeam --features model-check --quiet --test model
