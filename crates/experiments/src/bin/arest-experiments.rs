@@ -204,7 +204,7 @@ fn main() {
     if ids.iter().any(|i| i == "bench-pipeline") {
         let dataset = bench_pipeline(config);
         if let Some(dir) = &ledger_dir {
-            commit_to_ledger(dir, &dataset, &config, out_dir.as_deref());
+            commit_to_ledger(dir, &dataset, None, &config, out_dir.as_deref());
         }
         write_run_report(out_dir.as_deref());
         if let Some(dir) = &trace_out {
@@ -269,7 +269,7 @@ fn main() {
         }
     }
     if let Some(dir) = &ledger_dir {
-        commit_to_ledger(dir, &dataset, &config, out_dir.as_deref());
+        commit_to_ledger(dir, &dataset, None, &config, out_dir.as_deref());
     }
     write_run_report(out_dir.as_deref());
     if let Some(dir) = &trace_out {
@@ -323,13 +323,20 @@ fn load_seed_cache(
     }
 }
 
-/// Commits a completed campaign under the ledger's next serial and
-/// reports the receipt. Used by every dataset-building mode when
-/// `--ledger <dir>` is given. With `--base <serial>` the commit is an
-/// incremental merge: fresh results for the re-probed slice, carried
-/// records for the rest, and the diff against the base is written as
-/// `RUN_REPORT_delta.txt`.
-fn commit_to_ledger(dir: &str, dataset: &Dataset, config: &PipelineConfig, out_dir: Option<&str>) {
+/// Commits a completed campaign under the ledger's next serial,
+/// reports the receipt and returns the serial. Used by every
+/// dataset-building mode when `--ledger <dir>` is given; `record` is
+/// the dataset's run record when the caller has flattened it already.
+/// With `--base <serial>` the commit is an incremental merge: fresh
+/// results for the re-probed slice, carried records for the rest, and
+/// the diff against the base is written as `RUN_REPORT_delta.txt`.
+fn commit_to_ledger(
+    dir: &str,
+    dataset: &Dataset,
+    record: Option<&arest_ledger::RunSnapshot>,
+    config: &PipelineConfig,
+    out_dir: Option<&str>,
+) -> u64 {
     let ledger = open_ledger(dir);
     if config.base_serial.is_some() {
         let merged =
@@ -347,14 +354,27 @@ fn commit_to_ledger(dir: &str, dataset: &Dataset, config: &PipelineConfig, out_d
             merged.carried.len()
         );
         write_delta_report(&ledger, dir, merged.base_serial, receipt.serial, out_dir);
+        receipt.serial
     } else {
+        let committed = match record {
+            Some(record) => arest_experiments::ledger_io::commit_record(
+                &ledger,
+                record,
+                dataset,
+                config,
+                now_unix(),
+            ),
+            None => {
+                arest_experiments::ledger_io::commit_dataset(&ledger, dataset, config, now_unix())
+            }
+        };
         let receipt =
-            arest_experiments::ledger_io::commit_dataset(&ledger, dataset, config, now_unix())
-                .unwrap_or_else(|e| fail(&format!("ledger commit to {dir} failed: {e}")));
+            committed.unwrap_or_else(|e| fail(&format!("ledger commit to {dir} failed: {e}")));
         eprintln!(
             "ledger: committed run {} to {dir} ({} bytes, payload digest {:016x})",
             receipt.serial, receipt.bytes, receipt.payload_digest
         );
+        receipt.serial
     }
 }
 
@@ -616,18 +636,14 @@ fn percentile(values: &mut [u64], pct: usize) -> u64 {
     values[rank - 1]
 }
 
-/// The daemon's store over `dataset`'s run record, uncommitted.
-fn serving_store(dataset: &Dataset) -> std::sync::Arc<arest_serve::Store> {
-    std::sync::Arc::new(arest_serve::Store::from(arest_experiments::ledger_io::snapshot(dataset)))
-}
-
 /// Builds the dataset, flattens it into its run record, and runs
 /// the `arest-serve` HTTP daemon on `listen` until SIGINT requests a
 /// graceful shutdown (in-flight requests complete, then this
-/// returns). With `--ledger <dir>`, the completed build is committed
-/// to the ledger first, and a watcher thread polls the directory
-/// every `poll_ms` milliseconds (`--ledger-poll-ms`) for newer
-/// serials, atomically swapping each into the serving store.
+/// returns). With `--ledger <dir>`, that record is committed to the
+/// ledger first and served as the committed run, and a watcher thread
+/// polls the directory every `poll_ms` milliseconds
+/// (`--ledger-poll-ms`) for newer serials, atomically swapping each
+/// into the serving store.
 fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms: u64) {
     // Live request counters on /metrics, whatever AREST_OBS says.
     let registry = arest_obs::global();
@@ -639,34 +655,41 @@ fn serve(config: PipelineConfig, listen: &str, ledger_dir: Option<&str>, poll_ms
     );
     let started = Instant::now();
     let dataset = Dataset::build(config);
-    let store = serving_store(&dataset);
+    let record = arest_experiments::ledger_io::snapshot(&dataset);
     eprintln!(
         "dataset ready in {:.1}s: {} ASes, {} addresses, {} raw traces",
         started.elapsed().as_secs_f64(),
-        store.totals().ases,
-        store.totals().addresses,
-        store.totals().raw_traces,
+        record.totals.ases,
+        record.totals.addresses,
+        record.totals.raw_traces,
     );
-
-    let ledger = ledger_dir.map(|dir| {
-        commit_to_ledger(dir, &dataset, &config, None);
-        std::sync::Arc::new(open_ledger(dir))
-    });
+    let committed =
+        ledger_dir.map(|dir| commit_to_ledger(dir, &dataset, Some(&record), &config, None));
+    let store = std::sync::Arc::new(arest_serve::Store::from(record));
+    let ledger = ledger_dir.map(|dir| std::sync::Arc::new(open_ledger(dir)));
 
     ctrlc::install();
-    let mut server = arest_serve::Server::bind(listen, store, registry, config.workers)
-        .unwrap_or_else(|e| usage(&format!("cannot bind {listen}: {e}")));
+    let mut server =
+        arest_serve::Server::bind(listen, std::sync::Arc::clone(&store), registry, config.workers)
+            .unwrap_or_else(|e| usage(&format!("cannot bind {listen}: {e}")));
     if let Some(ledger) = &ledger {
         server.attach_ledger(std::sync::Arc::clone(ledger));
     }
     println!("arest-serve: listening on http://{}", server.local_addr());
     eprintln!("arest-serve: {} pool workers; ctrl-c for graceful shutdown", server.workers());
     if let Some(ledger) = &ledger {
-        // Stamp the serving store with the serial just committed, then
-        // watch the directory: each newer serial is loaded off the
-        // request path and atomically swapped in (DESIGN.md §13).
+        // Stamp the serving store with the serial just committed — a
+        // full commit holds exactly the record it serves, so there is
+        // nothing to reload; an incremental commit holds the merged
+        // run, which the first refresh loads — then watch the
+        // directory: each newer serial is loaded off the request path
+        // and atomically swapped in (DESIGN.md §13).
         let cell = server.store_cell();
-        if let Ok(Some(serial)) = arest_serve::ledger_watch::refresh(&cell, ledger) {
+        if let Some(serial) = committed.filter(|_| config.base_serial.is_none()) {
+            let _ = arest_serve::ledger_watch::adopt(&cell, ledger, serial, store);
+        }
+        let _ = arest_serve::ledger_watch::refresh(&cell, ledger);
+        if let Some(serial) = cell.serial() {
             eprintln!("arest-serve: serving ledger run {serial}");
         }
         arest_conc::thread::scope(|s| {
@@ -706,10 +729,11 @@ fn bench_serve(
         config.gen.scale, config.gen.vp_count, config.targets_per_as, config.gen.seed
     );
     let dataset = Dataset::build(config);
-    let store = serving_store(&dataset);
+    let record = arest_experiments::ledger_io::snapshot(&dataset);
     if let Some(dir) = ledger_dir {
-        commit_to_ledger(dir, &dataset, &config, None);
+        commit_to_ledger(dir, &dataset, Some(&record), &config, None);
     }
+    let store = std::sync::Arc::new(arest_serve::Store::from(record));
 
     // A private, always-enabled registry: the bench must measure even
     // when AREST_OBS is off, without polluting the global snapshot.

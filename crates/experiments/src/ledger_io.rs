@@ -14,7 +14,9 @@
 //!
 //! Two commit paths exist. [`commit_dataset`] persists a full run
 //! plus its carry-forward sidecar (per-AS raw trace counts and the
-//! fingerprint cache's entries). [`commit_incremental`] merges a
+//! fingerprint cache's entries); [`commit_record`] does the same for a
+//! caller that has flattened the dataset already, such as the daemon
+//! that serves the record it commits. [`commit_incremental`] merges a
 //! sliced re-probe against a base serial: re-probed ASes contribute
 //! fresh records, everything else is carried forward byte-for-byte
 //! from the base snapshot, and the merged totals are recomputed from
@@ -197,7 +199,19 @@ pub fn commit_dataset(
     config: &PipelineConfig,
     committed_unix: u64,
 ) -> LedgerResult<CommitReceipt> {
-    let snapshot = snapshot(dataset);
+    commit_record(ledger, &snapshot(dataset), dataset, config, committed_unix)
+}
+
+/// [`commit_dataset`] for a caller that already holds the dataset's
+/// run record (`record == snapshot(dataset)`), e.g. to serve it as
+/// well: commits it without flattening again.
+pub fn commit_record(
+    ledger: &Ledger,
+    record: &RunSnapshot,
+    dataset: &Dataset,
+    config: &PipelineConfig,
+    committed_unix: u64,
+) -> LedgerResult<CommitReceipt> {
     let options = CommitOptions {
         committed_unix,
         config_digest: config_digest(config),
@@ -209,7 +223,7 @@ pub fn commit_dataset(
         raw_traces: dataset.results.iter().map(|r| (r.asn.0, r.raw_traces as u64)).collect(),
         cache: dataset.cache_entries.clone(),
     };
-    ledger.commit_with_aux(&snapshot, &options, &aux)
+    ledger.commit_with_aux(record, &options, &aux)
 }
 
 /// Merges a sliced re-probe against `config.base_serial` and commits

@@ -26,7 +26,7 @@ use arest_sr::sid::{PrefixSidSpec, Segment, SidIndex};
 use arest_topo::graph::Topology;
 use arest_topo::ids::{AsNumber, RouterId};
 use arest_topo::prefix::Prefix;
-use arest_topo::spf::DomainSpf;
+use arest_topo::spf::{DomainSpf, SpfTree};
 use arest_topo::vendor::Vendor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -362,8 +362,14 @@ pub fn deploy_as(
         plane.snmp_responsive = rng.random_bool(profile.snmp_rate);
     }
 
+    // Phase 2 is cold (once per AS), so its sub-step timers register
+    // inline, like `netgen.generate.us`.
+    let registry = arest_obs::global();
+
     // IGP oracle + anchored customer prefixes.
+    let igp_timer = registry.timer("netgen.deploy.igp.us");
     net.register_igp(plan.asn, DomainSpf::for_as(net.topo(), plan.asn));
+    drop(igp_timer);
     for &(prefix, anchor) in &plan.customers {
         net.anchor_prefix(prefix, anchor);
     }
@@ -396,6 +402,7 @@ pub fn deploy_as(
     // ---- Classic LDP domain ----
     let mut vpn_fecs: Vec<(Prefix, RouterId)> = Vec::new();
     if plan.ldp_members.len() >= 2 {
+        let _timer = registry.timer("netgen.deploy.ldp.us");
         let mut fecs: Vec<LdpFec> = Vec::new();
         for &(prefix, anchor) in &plan.customers {
             if ldp_set.contains(&anchor) {
@@ -492,8 +499,9 @@ pub fn deploy_as(
     // footnote 2). Their traces are indistinguishable from LDP —
     // hop-varying dynamic labels — which is the point.
     if !sr_exists && plan.ldp_members.len() >= 3 {
-        let spf = DomainSpf::for_members(net.topo(), &plan.ldp_members);
+        let _timer = registry.timer("netgen.deploy.rsvp.us");
         let head = *plan.ldp_members.first().expect("non-empty");
+        let tree = SpfTree::compute(net.topo(), head, |r| ldp_set.contains(&r));
         let te_fecs: Vec<(Prefix, RouterId)> = plan
             .customers
             .iter()
@@ -502,7 +510,7 @@ pub fn deploy_as(
             .copied()
             .collect();
         for (prefix, anchor) in te_fecs {
-            let Some(path) = spf.tree(head).and_then(|t| t.path(anchor)) else {
+            let Some(path) = tree.path(anchor) else {
                 continue;
             };
             if path.len() < 2 {
@@ -524,6 +532,7 @@ pub fn deploy_as(
 
     // ---- SR-MPLS domain ----
     if sr_exists {
+        let _timer = registry.timer("netgen.deploy.sr.us");
         let srgb = LabelBlock::new(profile.srgb_base, 8_000);
         let srlb = LabelBlock::from_range(15_000, 15_999);
         let mut configs: HashMap<RouterId, SrNodeConfig> = plan

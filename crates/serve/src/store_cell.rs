@@ -16,7 +16,9 @@
 //! a swap carrying a serial no newer than the current one is refused.
 //! That makes the watcher idempotent (observing the same latest
 //! serial twice is a no-op) and immunises the daemon against a ledger
-//! directory that regresses.
+//! directory that regresses. [`StoreCell::set_origin`] is the one
+//! same-serial update: it adds a late sidecar's origin breakdown to
+//! the served stamp, keeping the store.
 //!
 //! The whole protocol is model-checked in `tests/model_store_cell.rs`
 //! under `--features model-check`, where the `arest-conc` scheduler
@@ -121,6 +123,27 @@ impl StoreCell {
         }
         newer
     }
+
+    /// Fills in the origin breakdown of the served version when it is
+    /// ledger run `serial` and has none yet: a run's sidecar lands
+    /// after its snapshot, so a watcher can swap the run in first.
+    /// The store and the rest of the stamp stay as they are (the same
+    /// `Arc<Store>`, the same serial). Returns whether it re-stamped.
+    ///
+    /// # Panics
+    /// If the lock is poisoned (see [`StoreCell::load`]).
+    pub fn set_origin(&self, serial: u64, origin: RunOrigin) -> bool {
+        let mut current = self.current.write().expect("store cell lock poisoned");
+        let Some(stamp) = current.stamp.filter(|s| s.serial == serial && s.origin.is_none()) else {
+            return false;
+        };
+        let store = Arc::clone(&current.store);
+        *current = Arc::new(StoreVersion {
+            store,
+            stamp: Some(LedgerStamp { origin: Some(origin), ..stamp }),
+        });
+        true
+    }
 }
 
 #[cfg(test)]
@@ -160,6 +183,24 @@ mod tests {
         assert!(!cell.swap(StoreVersion { store, stamp: None }));
         assert!(cell.swap(stamped(1)));
         assert_eq!(cell.serial(), Some(1));
+    }
+
+    #[test]
+    fn set_origin_fills_only_the_served_serials_missing_origin() {
+        let origin = RunOrigin { base_serial: Some(1), fresh: 2, carried: 3 };
+        let cell = StoreCell::new(stamped(2));
+        let store = Arc::clone(&cell.load().store);
+        assert!(!cell.set_origin(1, origin), "not the served serial");
+        assert!(cell.set_origin(2, origin));
+        let served = cell.load();
+        assert!(Arc::ptr_eq(&served.store, &store), "the store is kept, not rebuilt");
+        assert_eq!(served.stamp.and_then(|s| s.origin), Some(origin));
+        assert_eq!(cell.serial(), Some(2));
+        assert!(
+            !cell.set_origin(2, RunOrigin { fresh: 9, ..origin }),
+            "an origin is never replaced"
+        );
+        assert!(!StoreCell::bare(store).set_origin(2, origin), "bare cells have no serial");
     }
 
     #[test]

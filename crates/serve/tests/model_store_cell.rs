@@ -13,7 +13,7 @@
 
 use arest_conc::model::Model;
 use arest_ledger::{RunSnapshot, RunTotals};
-use arest_serve::{LedgerStamp, Store, StoreCell, StoreVersion};
+use arest_serve::{LedgerStamp, RunOrigin, Store, StoreCell, StoreVersion};
 use std::sync::Arc;
 
 /// A version whose store agrees with its stamp: `totals.ases` IS the
@@ -84,6 +84,26 @@ fn model_inflight_requests_keep_their_version_across_a_swap() {
             assert_eq!(observed_serial(&pinned), pinned_serial);
             // …while the cell itself has moved on.
             assert_eq!(observed_serial(&cell.load()), 2);
+        });
+    });
+    assert!(report.complete, "schedule space not exhausted in {} runs", report.runs);
+}
+
+/// Invariant: a late sidecar's origin re-stamp racing the swap of a
+/// newer serial never brings the older serial back, and never lands
+/// on the newer serial's stamp.
+#[test]
+fn model_a_late_origin_never_undoes_a_newer_swap() {
+    let report = Model::default().check(|| {
+        let cell = StoreCell::new(version(1));
+        let origin = RunOrigin { base_serial: None, fresh: 1, carried: 0 };
+        arest_conc::thread::scope(|s| {
+            let restamp = s.spawn(|| cell.set_origin(1, origin));
+            assert!(cell.swap(version(2)), "serial 2 is newer than anything served");
+            restamp.join().expect("re-stamp");
+            let served = cell.load();
+            assert_eq!(observed_serial(&served), 2, "the re-stamp resurrected serial 1");
+            assert_eq!(served.stamp.and_then(|s| s.origin), None, "serial 1's origin on serial 2");
         });
     });
     assert!(report.complete, "schedule space not exhausted in {} runs", report.runs);

@@ -11,28 +11,217 @@
 //! retained ([`SpfTree::next_hops`]) so the data plane can do ECMP:
 //! per-flow hashing over that set is exactly the load-balancing
 //! behaviour Paris traceroute's flow-stable probing exists to tame.
+//!
+//! Trees are dense arrays over a *slot index*: a domain's routers are
+//! numbered `0..n` in ascending [`RouterId`] order, and a [`DomainSpf`]
+//! numbers its members once and shares that index with every tree.
+//! The index is a table over the members' router-id span — an AS's
+//! routers are created contiguously, so the span is the domain — and
+//! each tree holds its distances and predecessors as `u32` arrays and
+//! its first hops inline, so neither Dijkstra's relaxations nor a
+//! next-hop lookup hash anything.
 
 use crate::graph::Topology;
-use crate::ids::{AsNumber, IfaceId, RouterId};
+use crate::ids::{AsNumber, IfaceId, LinkId, RouterId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Cap on retained equal-cost first hops per destination (real
 /// routers bound their ECMP fan-out similarly).
 const MAX_ECMP: usize = 4;
+
+/// An empty slot-table cell, and an unreached tree entry's predecessor.
+const NONE: u32 = u32::MAX;
+
+/// A first hop: egress interface + neighbour.
+type Hop = (IfaceId, RouterId);
+
+/// Up to [`MAX_ECMP`] equal-cost first hops, stored inline.
+#[derive(Debug, Clone, Copy)]
+struct HopSet {
+    len: u8,
+    hops: [Hop; MAX_ECMP],
+}
+
+impl HopSet {
+    const EMPTY: HopSet = HopSet { len: 0, hops: [(IfaceId(0), RouterId(0)); MAX_ECMP] };
+
+    fn one(hop: Hop) -> HopSet {
+        let mut set = HopSet::EMPTY;
+        set.hops[0] = hop;
+        set.len = 1;
+        set
+    }
+
+    fn as_slice(&self) -> &[Hop] {
+        &self.hops[..usize::from(self.len)]
+    }
+
+    /// `self` followed by the hops of `tail` it lacks, capped at
+    /// [`MAX_ECMP`]: the order-preserving dedup of the concatenation.
+    fn merged(mut self, tail: &HopSet) -> HopSet {
+        for &hop in tail.as_slice() {
+            if usize::from(self.len) == MAX_ECMP {
+                break;
+            }
+            if !self.as_slice().contains(&hop) {
+                self.hops[usize::from(self.len)] = hop;
+                self.len += 1;
+            }
+        }
+        self
+    }
+}
+
+/// Dense numbering of one domain's routers: slots `0..n` in ascending
+/// router-id order, so comparing slots compares router ids.
+#[derive(Debug)]
+struct SlotIndex {
+    /// The router id `table[0]` stands for.
+    base: u32,
+    /// `table[id - base]` is router `id`'s slot, or [`NONE`].
+    table: Vec<u32>,
+    /// `routers[slot]` is the router numbered `slot`.
+    routers: Vec<RouterId>,
+}
+
+impl SlotIndex {
+    /// An index over exactly `members` (duplicates collapse).
+    fn over(members: &[RouterId]) -> SlotIndex {
+        let (Some(lo), Some(hi)) = (members.iter().min(), members.iter().max()) else {
+            return SlotIndex { base: 0, table: Vec::new(), routers: Vec::new() };
+        };
+        let mut index = SlotIndex {
+            base: lo.0,
+            table: vec![NONE; (hi.0 - lo.0) as usize + 1],
+            routers: Vec::new(),
+        };
+        for &r in members {
+            index.table[(r.0 - lo.0) as usize] = 0;
+        }
+        index.number();
+        index
+    }
+
+    /// The routers reachable from `source` through links other than
+    /// `avoid` and routers `in_domain` accepts (plus `source` itself).
+    fn component(
+        topo: &Topology,
+        source: RouterId,
+        in_domain: impl Fn(RouterId) -> bool,
+        avoid: Option<LinkId>,
+    ) -> SlotIndex {
+        let limit = topo.router_count() as u32;
+        let mut index = SlotIndex { base: source.0, table: vec![0], routers: Vec::new() };
+        let mut stack = vec![source];
+        while let Some(u) = stack.pop() {
+            for (link, _, _, v, _) in topo.adjacencies(u) {
+                if Some(link) != avoid && in_domain(v) && index.mark(v, limit) {
+                    stack.push(v);
+                }
+            }
+        }
+        index.number();
+        index
+    }
+
+    /// Marks `router` (an id below `limit`) as a member, widening the
+    /// table to cover it by at least its current length so repeated
+    /// widening stays linear. Returns whether it was unmarked.
+    fn mark(&mut self, router: RouterId, limit: u32) -> bool {
+        let id = router.0;
+        if id < self.base {
+            let base = id.min(self.base.saturating_sub(self.table.len() as u32));
+            self.table.splice(0..0, std::iter::repeat_n(NONE, (self.base - base) as usize));
+            self.base = base;
+        }
+        let offset = (id - self.base) as usize;
+        if offset >= self.table.len() {
+            let len = (offset + 1).max(2 * self.table.len()).min((limit - self.base) as usize);
+            self.table.resize(len, NONE);
+        }
+        let unmarked = self.table[offset] == NONE;
+        self.table[offset] = 0;
+        unmarked
+    }
+
+    /// Numbers the marked cells in ascending router-id order.
+    fn number(&mut self) {
+        for (offset, cell) in self.table.iter_mut().enumerate() {
+            if *cell != NONE {
+                *cell = self.routers.len() as u32;
+                self.routers.push(RouterId(self.base + offset as u32));
+            }
+        }
+    }
+
+    fn slot(&self, router: RouterId) -> Option<usize> {
+        let cell = *self.table.get(router.0.wrapping_sub(self.base) as usize)?;
+        (cell != NONE).then_some(cell as usize)
+    }
+
+    fn len(&self) -> usize {
+        self.routers.len()
+    }
+}
+
+/// One live adjacency between two domain routers, by slot.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: u32,
+    cost: u32,
+    hop: Hop,
+}
+
+/// A domain's live adjacencies in compressed-sparse-row form, each
+/// router's in [`Topology::adjacencies`] order.
+struct Adjacency {
+    /// Slot `s`'s edges are `edges[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl Adjacency {
+    fn build(topo: &Topology, index: &SlotIndex, avoid: Option<LinkId>) -> Adjacency {
+        let mut offsets = Vec::with_capacity(index.len() + 1);
+        let mut edges = Vec::new();
+        offsets.push(0);
+        for &r in &index.routers {
+            for (link, local_if, _, v, cost) in topo.adjacencies(r) {
+                if Some(link) == avoid {
+                    continue;
+                }
+                if let Some(to) = index.slot(v) {
+                    edges.push(Edge { to: to as u32, cost, hop: (local_if, v) });
+                }
+            }
+            offsets.push(edges.len() as u32);
+        }
+        Adjacency { offsets, edges }
+    }
+
+    fn edges(&self, slot: usize) -> &[Edge] {
+        &self.edges[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+}
 
 /// The shortest-path tree rooted at one router.
 #[derive(Debug, Clone)]
 pub struct SpfTree {
     /// The root of the tree.
     pub source: RouterId,
-    dist: HashMap<RouterId, u32>,
-    /// For each reachable router: every equal-cost first hop from the
-    /// source (egress interface + neighbour), deterministically
-    /// ordered; index 0 is the primary.
-    next: HashMap<RouterId, Vec<(IfaceId, RouterId)>>,
-    /// Immediate predecessor on the primary shortest path.
-    pred: HashMap<RouterId, RouterId>,
+    index: Arc<SlotIndex>,
+    /// Per slot: IGP distance from the source (meaningless while
+    /// `pred` is [`NONE`]).
+    dist: Vec<u32>,
+    /// Per slot: the immediate predecessor's slot on the primary
+    /// shortest path; the source's own slot for the source, [`NONE`]
+    /// when unreached.
+    pred: Vec<u32>,
+    /// Per slot: every equal-cost first hop from the source,
+    /// deterministically ordered; index 0 is the primary.
+    next: Vec<HopSet>,
 }
 
 impl SpfTree {
@@ -52,80 +241,85 @@ impl SpfTree {
         topo: &Topology,
         source: RouterId,
         in_domain: impl Fn(RouterId) -> bool,
-        avoid: Option<crate::ids::LinkId>,
+        avoid: Option<LinkId>,
     ) -> SpfTree {
-        let mut dist: HashMap<RouterId, u32> = HashMap::new();
-        let mut next: HashMap<RouterId, Vec<(IfaceId, RouterId)>> = HashMap::new();
-        let mut pred: HashMap<RouterId, RouterId> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(u32, RouterId)>> = BinaryHeap::new();
+        let index = SlotIndex::component(topo, source, in_domain, avoid);
+        let adjacency = Adjacency::build(topo, &index, avoid);
+        let slot = index.slot(source).expect("the source is in its own component");
+        SpfTree::grow(Arc::new(index), &adjacency, slot, &mut BinaryHeap::new())
+    }
 
-        dist.insert(source, 0);
-        heap.push(Reverse((0, source)));
+    /// Dijkstra from slot `source`. Heap entries pack `(dist, slot)`
+    /// into one `u64`, so they pop in `(dist, RouterId)` order.
+    fn grow(
+        index: Arc<SlotIndex>,
+        adjacency: &Adjacency,
+        source: usize,
+        heap: &mut BinaryHeap<Reverse<u64>>,
+    ) -> SpfTree {
+        let n = index.len();
+        let mut dist = vec![0u32; n];
+        let mut pred = vec![NONE; n];
+        let mut next = vec![HopSet::EMPTY; n];
+        pred[source] = source as u32;
+        heap.push(Reverse(source as u64));
 
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if dist.get(&u).copied() != Some(d) {
+        while let Some(Reverse(key)) = heap.pop() {
+            let (d, u) = ((key >> 32) as u32, (key & u64::from(u32::MAX)) as usize);
+            if dist[u] != d {
                 continue; // stale heap entry
             }
-            for (link, local_if, _, v, cost) in topo.adjacencies(u) {
-                if !in_domain(v) || Some(link) == avoid {
-                    continue;
+            let via_u = next[u];
+            for edge in adjacency.edges(u) {
+                let v = edge.to as usize;
+                if v == source {
+                    continue; // the root keeps no first hops, even over cost-0 links
                 }
-                let nd = d.saturating_add(cost);
-                let first_hops_via_u =
-                    if u == source { vec![(local_if, v)] } else { next[&u].clone() };
-                match dist.get(&v) {
-                    None => {
-                        dist.insert(v, nd);
-                        pred.insert(v, u);
-                        next.insert(v, first_hops_via_u);
-                        heap.push(Reverse((nd, v)));
+                let nd = d.saturating_add(edge.cost);
+                let first_hops_via_u = if u == source { HopSet::one(edge.hop) } else { via_u };
+                if pred[v] == NONE || nd < dist[v] {
+                    dist[v] = nd;
+                    pred[v] = u as u32;
+                    next[v] = first_hops_via_u;
+                    heap.push(Reverse((u64::from(nd) << 32) | v as u64));
+                } else if nd == dist[v] {
+                    // Equal cost: merge the first-hop sets (ECMP) and
+                    // keep the primary deterministic by preferring the
+                    // smaller predecessor id.
+                    if (u as u32) < pred[v] {
+                        pred[v] = u as u32;
+                        next[v] = first_hops_via_u.merged(&next[v]);
+                    } else {
+                        next[v] = next[v].merged(&first_hops_via_u);
                     }
-                    Some(&old) if nd < old => {
-                        dist.insert(v, nd);
-                        pred.insert(v, u);
-                        next.insert(v, first_hops_via_u);
-                        heap.push(Reverse((nd, v)));
-                    }
-                    Some(&old) if nd == old => {
-                        // Equal cost: merge the first-hop sets (ECMP)
-                        // and keep the primary deterministic by
-                        // preferring the smaller predecessor id.
-                        if pred.get(&v).is_some_and(|&p| u < p) {
-                            pred.insert(v, u);
-                            let mut merged = first_hops_via_u;
-                            merged.extend(next[&v].iter().copied());
-                            dedup_hops(&mut merged);
-                            next.insert(v, merged);
-                        } else {
-                            let hops = next.get_mut(&v).expect("set on first visit");
-                            hops.extend(first_hops_via_u);
-                            dedup_hops(hops);
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
 
-        SpfTree { source, dist, next, pred }
+        SpfTree { source: index.routers[source], index, dist, pred, next }
+    }
+
+    /// `dst`'s slot, if the tree reaches it.
+    fn reached(&self, dst: RouterId) -> Option<usize> {
+        self.index.slot(dst).filter(|&slot| self.pred[slot] != NONE)
     }
 
     /// IGP distance to `dst`, if reachable.
     pub fn distance(&self, dst: RouterId) -> Option<u32> {
-        self.dist.get(&dst).copied()
+        self.reached(dst).map(|slot| self.dist[slot])
     }
 
     /// The primary first hop from the source toward `dst` (control
     /// planes install this one). `None` when unreachable or
     /// `dst == source`.
     pub fn next_hop(&self, dst: RouterId) -> Option<(IfaceId, RouterId)> {
-        self.next.get(&dst).and_then(|hops| hops.first().copied())
+        self.next_hops(dst).first().copied()
     }
 
     /// All equal-cost first hops toward `dst`, primary first. The data
     /// plane hashes a flow over this set (ECMP).
     pub fn next_hops(&self, dst: RouterId) -> &[(IfaceId, RouterId)] {
-        self.next.get(&dst).map_or(&[], Vec::as_slice)
+        self.index.slot(dst).map_or(&[], |slot| self.next[slot].as_slice())
     }
 
     /// The full router path `source..=dst`, or `None` if unreachable.
@@ -133,28 +327,24 @@ impl SpfTree {
         if dst == self.source {
             return Some(vec![dst]);
         }
-        self.dist.get(&dst)?;
+        let mut cur = self.reached(dst)?;
         let mut path = vec![dst];
-        let mut cur = dst;
-        while cur != self.source {
-            cur = *self.pred.get(&cur)?;
-            path.push(cur);
+        // The root is the one slot that is its own predecessor.
+        while self.pred[cur] as usize != cur {
+            cur = self.pred[cur] as usize;
+            path.push(self.index.routers[cur]);
         }
         path.reverse();
         Some(path)
     }
 
-    /// Routers reachable from the source (including itself).
+    /// Routers reachable from the source (including itself), in
+    /// ascending router-id order.
     pub fn reachable(&self) -> impl Iterator<Item = RouterId> + '_ {
-        self.dist.keys().copied()
+        (0..self.index.len())
+            .filter(|&slot| self.pred[slot] != NONE)
+            .map(|slot| self.index.routers[slot])
     }
-}
-
-/// Order-preserving dedup with the ECMP fan-out cap.
-fn dedup_hops(hops: &mut Vec<(IfaceId, RouterId)>) {
-    let mut seen = std::collections::HashSet::new();
-    hops.retain(|hop| seen.insert(*hop));
-    hops.truncate(MAX_ECMP);
 }
 
 /// Per-domain all-sources SPF cache.
@@ -164,7 +354,9 @@ fn dedup_hops(hops: &mut Vec<(IfaceId, RouterId)>) {
 /// is filtered at the control-plane layer, not here).
 #[derive(Debug, Clone)]
 pub struct DomainSpf {
-    trees: HashMap<RouterId, SpfTree>,
+    index: Arc<SlotIndex>,
+    /// `trees[slot]` is rooted at `index.routers[slot]`.
+    trees: Vec<SpfTree>,
 }
 
 impl DomainSpf {
@@ -184,30 +376,33 @@ impl DomainSpf {
             registry.counter("topo.spf.domains").inc();
             registry.counter("topo.spf.trees").add(members.len() as u64);
         }
-        let set: std::collections::HashSet<RouterId> = members.iter().copied().collect();
-        let trees =
-            members.iter().map(|&r| (r, SpfTree::compute(topo, r, |x| set.contains(&x)))).collect();
-        DomainSpf { trees }
+        let index = Arc::new(SlotIndex::over(members));
+        let adjacency = Adjacency::build(topo, &index, None);
+        let mut heap = BinaryHeap::new();
+        let trees = (0..index.len())
+            .map(|slot| SpfTree::grow(Arc::clone(&index), &adjacency, slot, &mut heap))
+            .collect();
+        DomainSpf { index, trees }
     }
 
     /// The SPF tree rooted at `router`, if it belongs to the domain.
     pub fn tree(&self, router: RouterId) -> Option<&SpfTree> {
-        self.trees.get(&router)
+        self.index.slot(router).map(|slot| &self.trees[slot])
     }
 
     /// Primary next hop from `from` toward `to` within the domain.
     pub fn next_hop(&self, from: RouterId, to: RouterId) -> Option<(IfaceId, RouterId)> {
-        self.trees.get(&from)?.next_hop(to)
+        self.tree(from)?.next_hop(to)
     }
 
     /// All equal-cost next hops from `from` toward `to` (ECMP set).
     pub fn next_hops(&self, from: RouterId, to: RouterId) -> &[(IfaceId, RouterId)] {
-        self.trees.get(&from).map_or(&[], |t| t.next_hops(to))
+        self.tree(from).map_or(&[], |t| t.next_hops(to))
     }
 
     /// IGP distance between two domain routers.
     pub fn distance(&self, from: RouterId, to: RouterId) -> Option<u32> {
-        self.trees.get(&from)?.distance(to)
+        self.tree(from)?.distance(to)
     }
 }
 
